@@ -17,7 +17,8 @@
 //
 // The trace payload is Chrome trace format; load it in Perfetto
 // (ui.perfetto.dev) or chrome://tracing. With -debug-addr set, a second
-// listener serves /debug/pprof/, /debug/vars and /debug/snapshot.
+// listener serves /debug/pprof/, /debug/vars and /debug/snapshot, in
+// every role.
 //
 // Overload protection is built in: an adaptive concurrency limiter
 // (-target-latency, -limiter-min/-limiter-max), a weighted-fair priority
@@ -53,8 +54,8 @@
 //
 // Storage faults get the same treatment: a -disk-chaos plan (with
 // -disk-chaos-seed) injects deterministic disk faults — EIO, ENOSPC,
-// fsync failures, torn writes, bit rot — into journal and checkpoint
-// I/O; see internal/fsim. When the disk fills or fail-stops, the node
+// fsync failures, torn writes, bit rot — into journal I/O; see
+// internal/fsim. When the disk fills or fail-stops, the node
 // degrades to read-only (submissions get 507 + Retry-After) and
 // recovers in place once space frees; -on-full stop drains and exits
 // non-zero instead, for supervised deployments that prefer rescheduling.
@@ -69,6 +70,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -94,10 +96,9 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
 	maxAttempts := flag.Int("max-attempts", 0, "executions per job with transient failures (0 = 3, 1 disables retries)")
 	retryDelay := flag.Duration("retry-delay", 0, "base backoff before the first retry, doubled per retry (0 = 100ms)")
-	dataDir := flag.String("data-dir", "", "durability directory (journal + checkpoints); empty = in-memory only")
+	dataDir := flag.String("data-dir", "", "durability directory (job and ligand-record journal); empty = in-memory only")
 	fsync := flag.String("fsync", "always", "journal fsync policy: always, interval or never")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "sync cadence for -fsync interval (0 = 100ms)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "snapshot a running job's checkpoint every N completed ligands (0 = 1)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	targetLatency := flag.Duration("target-latency", 0, "attempt latency the adaptive concurrency limiter steers toward (0 = disabled)")
@@ -123,7 +124,7 @@ func main() {
 	quarantineFactor := flag.Float64("quarantine-factor", 0, "quarantine workers slower than the median by this factor and shrink their split weight by it (0 = 4, negative disables)")
 	chaos := flag.String("chaos", "", "netsim fault plan injected into coordinator->worker requests, e.g. '127.0.0.1:8081:partition@3s+4s' (empty = disabled)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the -chaos plan's probabilistic faults")
-	diskChaos := flag.String("disk-chaos", "", "fsim fault plan injected into journal/checkpoint I/O, e.g. '*.wal:fsync-fail@0.01,*:enospc@1048576' (empty = disabled)")
+	diskChaos := flag.String("disk-chaos", "", "fsim fault plan injected into journal I/O, e.g. '*.wal:fsync-fail@0.01,*:enospc@1048576' (empty = disabled)")
 	diskChaosSeed := flag.Uint64("disk-chaos-seed", 1, "seed for the -disk-chaos plan's probabilistic faults")
 	onFull := flag.String("on-full", "degrade", "reaction to a full or failing disk: degrade (serve reads, 507 writes) or stop (drain and exit)")
 	flag.Parse()
@@ -195,6 +196,7 @@ func main() {
 			fatal(err)
 		}
 		server := &http.Server{Addr: *addr, Handler: coord.Handler()}
+		debugServer := startDebug(*debugAddr, coord.DebugHandler(), logger)
 		errCh := make(chan error, 1)
 		go func() { errCh <- server.ListenAndServe() }()
 		logger.Info("coordinator listening", "addr", *addr)
@@ -208,6 +210,9 @@ func main() {
 		defer cancel()
 		if err := server.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			logger.Error("http shutdown failed", "err", err)
+		}
+		if debugServer != nil {
+			debugServer.Close()
 		}
 		if err := coord.Shutdown(drainCtx); err != nil {
 			logger.Error("coordinator drain deadline exceeded", "err", err)
@@ -224,17 +229,16 @@ func main() {
 	}
 
 	svc, err := service.New(service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		ScreenWorkers:   *screenWorkers,
-		MaxAttempts:     *maxAttempts,
-		RetryBaseDelay:  *retryDelay,
-		DataDir:         *dataDir,
-		FS:              diskFS,
-		Fsync:           policy,
-		FsyncInterval:   *fsyncInterval,
-		CheckpointEvery: *checkpointEvery,
-		Logger:          logger,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		ScreenWorkers:  *screenWorkers,
+		MaxAttempts:    *maxAttempts,
+		RetryBaseDelay: *retryDelay,
+		DataDir:        *dataDir,
+		FS:             diskFS,
+		Fsync:          policy,
+		FsyncInterval:  *fsyncInterval,
+		Logger:         logger,
 		Admission: admission.Config{
 			TargetLatency:    *targetLatency,
 			LimiterMin:       *limiterMin,
@@ -254,16 +258,7 @@ func main() {
 	}
 	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
 
-	var debugServer *http.Server
-	if *debugAddr != "" {
-		debugServer = &http.Server{Addr: *debugAddr, Handler: svc.DebugHandler()}
-		go func() {
-			if err := debugServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "err", err)
-			}
-		}()
-		logger.Info("debug listener up", "addr", *debugAddr)
-	}
+	debugServer := startDebug(*debugAddr, svc.DebugHandler(), logger)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
@@ -325,6 +320,21 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
+}
+
+// startDebug serves a role's debug handler on addr; nil when addr is empty.
+func startDebug(addr string, h http.Handler, logger *slog.Logger) *http.Server {
+	if addr == "" {
+		return nil
+	}
+	srv := &http.Server{Addr: addr, Handler: h}
+	go func() {
+		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			logger.Error("debug listener failed", "err", err)
+		}
+	}()
+	logger.Info("debug listener up", "addr", addr)
+	return srv
 }
 
 // advertiseFromAddr derives a worker's advertised URL from its listen

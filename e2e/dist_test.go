@@ -311,3 +311,30 @@ func TestDistributedWorkerLoss(t *testing.T) {
 		t.Errorf("job view reports %d resplits, want >= 1", final.Resplits)
 	}
 }
+
+// TestCoordinatorDebugListener: the coordinator role serves the same
+// -debug-addr surface as a node — pprof, expvar and its debug snapshot.
+func TestCoordinatorDebugListener(t *testing.T) {
+	bin := buildServer(t)
+	debug := freeAddr(t)
+	startProc(t, bin, freeAddr(t), "-role", "coordinator", "-debug-addr", debug)
+	debugURL := "http://" + debug
+	if body := getText(t, debugURL+"/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Errorf("coordinator pprof index does not list profiles")
+	}
+	var vars map[string]any
+	getJSON(t, debugURL+"/debug/vars", &vars)
+	if _, ok := vars["memstats"]; !ok {
+		t.Errorf("coordinator /debug/vars has no memstats")
+	}
+	var snap struct {
+		Stats struct {
+			Jobs int `json:"jobs"`
+		} `json:"stats"`
+		Workers []any `json:"workers"`
+	}
+	getJSON(t, debugURL+"/debug/snapshot", &snap)
+	if snap.Workers == nil {
+		t.Errorf("coordinator debug snapshot has no workers list")
+	}
+}

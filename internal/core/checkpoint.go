@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"sync"
 
 	"github.com/metascreen/metascreen/internal/conformation"
@@ -19,6 +16,9 @@ import (
 // long-running production workload (the paper: "hundreds of CPU hours for
 // each ligand"); the checkpoint records every completed ligand so an
 // interrupted screen resumes where it stopped instead of re-docking.
+// Persisting it is the caller's business: the screening service journals
+// each LigandRecord as it is handed over and rebuilds the checkpoint from
+// those records on boot.
 
 // PoseRecord is a serializable conformation.
 type PoseRecord struct {
@@ -69,25 +69,6 @@ type Checkpoint struct {
 	Ligands map[string]LigandRecord `json:"ligands"`
 }
 
-// SaveCheckpoint serializes the checkpoint as JSON.
-func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cp)
-}
-
-// LoadCheckpoint deserializes a checkpoint.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if cp.Ligands == nil {
-		cp.Ligands = map[string]LigandRecord{}
-	}
-	return &cp, nil
-}
-
 // ligandRecord captures one completed run in checkpoint form.
 func ligandRecord(lig *molecule.Molecule, res *Result) LigandRecord {
 	return LigandRecord{
@@ -111,14 +92,14 @@ func recordResult(rec LigandRecord) *Result {
 	}
 }
 
-// CheckpointFunc observes checkpoint growth during a resumable screen. It
-// is called with the screen's checkpoint mutex held — cp is consistent and
-// must not be retained past the call — and newlyCompleted counts the
-// ligands this run has finished so far (resumed ligands excluded). The
-// screening service snapshots cp to disk from this hook every N calls. A
-// non-nil error aborts the screen; the checkpoint keeps everything
-// completed so far.
-type CheckpointFunc func(cp *Checkpoint, newlyCompleted int) error
+// CheckpointFunc observes each ligand a resumable screen completes: rec
+// is the new record (already in the checkpoint) and newlyCompleted counts
+// the ligands this run has finished so far, resumed ones excluded. Calls
+// are serialized under the screen's checkpoint mutex, so the callee never
+// needs to walk the checkpoint map — the screening service journals rec
+// as one compact WAL record. A non-nil error aborts the screen; the
+// checkpoint keeps everything completed so far.
+type CheckpointFunc func(rec LigandRecord, newlyCompleted int) error
 
 // ScreenResumable is Screen with checkpointing: ligands already present in
 // cp are skipped (their recorded results are used), and every newly
@@ -175,75 +156,27 @@ func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, librar
 		}
 	}
 
-	results := make([]*Result, len(library))
-	if len(pending) > 0 {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-			cpMu     sync.Mutex
-			newly    int
-		)
-		fail := func(err error) {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-				cancel()
+	var (
+		cpMu  sync.Mutex
+		newly int
+	)
+	results, err := screenEach(ctx, receptor, library, pending, spotOpts, ff, algf, backf, seed, workers,
+		func(i int, res *Result) error {
+			rec := ligandRecord(library[i], res)
+			cpMu.Lock()
+			defer cpMu.Unlock()
+			cp.Ligands[rec.Name] = rec
+			newly++
+			if onUpdate == nil {
+				return nil
 			}
-			errMu.Unlock()
-		}
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					lig := library[i]
-					res, err := screenLigand(ctx, receptor, lig, spotOpts, ff, algf, backf, seed)
-					if err != nil {
-						fail(err)
-						return
-					}
-					results[i] = res
-					cpMu.Lock()
-					cp.Ligands[lig.Name] = ligandRecord(lig, res)
-					newly++
-					if onUpdate != nil {
-						err = onUpdate(cp, newly)
-					}
-					cpMu.Unlock()
-					if err != nil {
-						fail(fmt.Errorf("core: checkpoint update after %q: %w", lig.Name, err))
-						return
-					}
-				}
-			}()
-		}
-	feed:
-		for _, i := range pending {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break feed
+			if err := onUpdate(rec, newly); err != nil {
+				return fmt.Errorf("core: checkpoint update after %q: %w", rec.Name, err)
 			}
-		}
-		close(jobs)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate in library order so floating-point sums are deterministic

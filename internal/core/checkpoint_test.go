@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -56,17 +56,22 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 	}
 	firstA := cp.Ligands["cp-a"]
 
-	// Save and reload the checkpoint (exercise the JSON round trip).
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
+	// Rebuild the checkpoint from its records' JSON, the way the service
+	// replays its journal on boot (exercises the per-record round trip).
+	loaded := &Checkpoint{Seed: cp.Seed, Ligands: map[string]LigandRecord{}}
+	for _, rec := range cp.Ligands {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back LigandRecord
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		loaded.Ligands[back.Name] = back
 	}
-	loaded, err := LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Ligands) != 2 || loaded.Seed != 5 {
-		t.Fatalf("loaded checkpoint = %+v", loaded)
+	if len(loaded.Ligands) != 2 || loaded.Ligands["cp-a"].Best.Score != firstA.Best.Score {
+		t.Fatalf("rebuilt checkpoint = %+v", loaded)
 	}
 
 	// Resume over the full library: the first two come from the
@@ -175,9 +180,12 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 	cp := &Checkpoint{}
 	_, err := ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
 		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, cp,
-		func(cp *Checkpoint, newly int) error {
+		func(rec LigandRecord, newly int) error {
 			if len(cp.Ligands) != newly {
 				t.Errorf("hook sees %d recorded ligands at newly=%d", len(cp.Ligands), newly)
+			}
+			if got, ok := cp.Ligands[rec.Name]; !ok || got.Best.Score != rec.Best.Score {
+				t.Errorf("hook record %q is not the checkpointed one", rec.Name)
 			}
 			counts = append(counts, newly)
 			return nil
@@ -198,7 +206,7 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 	cp2 := &Checkpoint{}
 	_, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
 		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 1, cp2,
-		func(cp *Checkpoint, newly int) error {
+		func(_ LigandRecord, newly int) error {
 			if newly == 2 {
 				return errors.New("disk full")
 			}
@@ -243,18 +251,5 @@ func TestPoseRecordRoundTrip(t *testing.T) {
 	}
 	if len(back.Torsions) != len(res.Best.Torsions) {
 		t.Error("torsions lost in round trip")
-	}
-}
-
-func TestLoadCheckpointErrors(t *testing.T) {
-	if _, err := LoadCheckpoint(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Error("garbage checkpoint accepted")
-	}
-	cp, err := LoadCheckpoint(bytes.NewReader([]byte("{}")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Ligands == nil {
-		t.Error("empty checkpoint has nil map")
 	}
 }

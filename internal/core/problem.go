@@ -49,25 +49,52 @@ type Problem struct {
 }
 
 // NewProblem validates the molecules, detects surface spots and prepares
-// scoring topologies.
+// scoring topologies. Screens dock many ligands against one receptor and
+// prepare it once instead (see prepareReceptor).
 func NewProblem(receptor, ligand *molecule.Molecule, spotOpts surface.Options, ff forcefield.Options) (*Problem, error) {
+	rp, err := prepareReceptor(receptor, spotOpts)
+	if err != nil {
+		return nil, err
+	}
+	return rp.problem(ligand, ff)
+}
+
+// preparedReceptor is the ligand-independent half of a Problem: the
+// validated receptor, its surface spots and its scoring topology. It is
+// read-only once built, so every ligand job of a screen shares one.
+type preparedReceptor struct {
+	mol   *molecule.Molecule
+	spots []surface.Spot
+	topo  *forcefield.Topology
+}
+
+// prepareReceptor validates the receptor, detects its surface spots and
+// builds its scoring topology.
+func prepareReceptor(receptor *molecule.Molecule, spotOpts surface.Options) (*preparedReceptor, error) {
 	if err := receptor.Validate(); err != nil {
 		return nil, fmt.Errorf("core: receptor: %w", err)
-	}
-	if err := ligand.Validate(); err != nil {
-		return nil, fmt.Errorf("core: ligand: %w", err)
 	}
 	spots, err := surface.FindSpots(receptor, spotOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	return &preparedReceptor{mol: receptor, spots: spots, topo: forcefield.NewTopology(receptor)}, nil
+}
+
+// problem builds one ligand's docking problem over the prepared receptor.
+// The spots and receptor topology are shared, never copied: nothing in
+// the engine writes to them.
+func (rp *preparedReceptor) problem(ligand *molecule.Molecule, ff forcefield.Options) (*Problem, error) {
+	if err := ligand.Validate(); err != nil {
+		return nil, fmt.Errorf("core: ligand: %w", err)
+	}
 	lig := ligand.Centered()
 	p := &Problem{
-		Receptor: receptor,
+		Receptor: rp.mol,
 		Ligand:   lig,
-		Spots:    spots,
+		Spots:    rp.spots,
 		FF:       ff,
-		recTopo:  forcefield.NewTopology(receptor),
+		recTopo:  rp.topo,
 		ligTopo:  forcefield.NewTopology(lig),
 	}
 	p.ligPos = p.ligTopo.Pos

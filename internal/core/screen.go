@@ -109,17 +109,56 @@ func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*mole
 	if len(library) == 0 {
 		return nil, fmt.Errorf("core: empty ligand library")
 	}
+	all := make([]int, len(library))
+	for i := range all {
+		all[i] = i
+	}
+	results, err := screenEach(ctx, receptor, library, all, spotOpts, ff, algf, backf, seed, workers, nil)
+	if err != nil {
+		return nil, err
+	}
+
+	// Aggregate in library order so floating-point sums are deterministic.
+	out := &ScreenResult{}
+	for i, res := range results {
+		out.Ranking = append(out.Ranking, ScreenEntry{Ligand: library[i], Result: res})
+		out.addRun(res)
+	}
+	sortRanking(out)
+	return out, nil
+}
+
+// screenEach docks library[i] for every i in pending on a bounded pool of
+// `workers` goroutines (0 means runtime.GOMAXPROCS(0)) and returns the
+// results indexed like library (nil where nothing ran). The receptor is
+// prepared once — validated, spots detected, topology built — and shared
+// read-only by every ligand job. done, when non-nil, observes each
+// completion from the worker that produced it, before that worker takes
+// its next ligand; its error aborts the screen.
+func screenEach(ctx context.Context, receptor *molecule.Molecule, library []*molecule.Molecule, pending []int,
+	spotOpts surface.Options, ff forcefield.Options,
+	algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
+	done func(i int, res *Result) error) ([]*Result, error) {
+	results := make([]*Result, len(library))
+	if len(pending) == 0 {
+		return results, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rp, err := prepareReceptor(receptor, spotOpts)
+	if err != nil {
+		return nil, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(library) {
-		workers = len(library)
+	if workers > len(pending) {
+		workers = len(pending)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	results := make([]*Result, len(library))
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -140,17 +179,22 @@ func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*mole
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				res, err := screenLigand(ctx, receptor, library[i], spotOpts, ff, algf, backf, seed)
+				res, err := screenLigand(ctx, rp, library[i], ff, algf, backf, seed)
+				if err == nil {
+					results[i] = res
+					if done != nil {
+						err = done(i, res)
+					}
+				}
 				if err != nil {
 					fail(err)
 					return
 				}
-				results[i] = res
 			}
 		}()
 	}
 feed:
-	for i := range library {
+	for _, i := range pending {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -165,15 +209,7 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Aggregate in library order so floating-point sums are deterministic.
-	out := &ScreenResult{}
-	for i, res := range results {
-		out.Ranking = append(out.Ranking, ScreenEntry{Ligand: library[i], Result: res})
-		out.addRun(res)
-	}
-	sortRanking(out)
-	return out, nil
+	return results, nil
 }
 
 // screenLigand runs one ligand job on its own seed lane. The lane is keyed
@@ -186,10 +222,9 @@ feed:
 // child recorder — so concurrently screened ligands don't interleave their
 // simulated device timelines — which is merged into the parent afterwards
 // under the "lig:<name>/" track prefix, alongside a wall-clock ligand span.
-func screenLigand(ctx context.Context, receptor, lig *molecule.Molecule,
-	spotOpts surface.Options, ff forcefield.Options,
-	algf AlgorithmFactory, backf BackendFactory, seed uint64) (*Result, error) {
-	problem, err := NewProblem(receptor, lig, spotOpts, ff)
+func screenLigand(ctx context.Context, rp *preparedReceptor, lig *molecule.Molecule,
+	ff forcefield.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64) (*Result, error) {
+	problem, err := rp.problem(lig, ff)
 	if err != nil {
 		return nil, fmt.Errorf("core: ligand %q: %w", lig.Name, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/metascreen/metascreen/internal/conformation"
+	"github.com/metascreen/metascreen/internal/cudasim"
 	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/molecule"
@@ -216,5 +217,50 @@ func TestRunMultiStartCtxCancelled(t *testing.T) {
 		HostBackendFactory(HostConfig{Real: true}), 2, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestScreenSharesPreparedReceptor: a screen prepares its receptor once
+// and every ligand job reads the same spots and topology concurrently
+// (run under -race with several ligand workers, on both backends). Each
+// ligand's outcome must equal a standalone run over its own Problem.
+func TestScreenSharesPreparedReceptor(t *testing.T) {
+	rec := molecule.SyntheticProtein("rec", 500, 41)
+	library := SyntheticLibrary(5)
+	spotOpts := surface.Options{MaxSpots: 2}
+	rp, err := prepareReceptor(rec, spotOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, _ := rp.problem(library[0], forcefield.Options{})
+	p1, _ := rp.problem(library[1], forcefield.Options{})
+	if &p0.Spots[0] != &p1.Spots[0] || p0.recTopo != p1.recTopo {
+		t.Fatal("ligand problems of one prepared receptor do not share its spots and topology")
+	}
+	for _, backf := range []BackendFactory{
+		HostBackendFactory(HostConfig{Real: true}),
+		PoolBackendFactory(PoolConfig{Specs: []cudasim.DeviceSpec{cudasim.TeslaK40c, cudasim.GTX580}, Real: true}),
+	} {
+		res, err := ScreenCtx(context.Background(), rec, library, spotOpts, forcefield.Options{},
+			screenAlgFactory(), backf, 3, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Ranking {
+			p, err := NewProblem(rec, e.Ligand, spotOpts, forcefield.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alg, _ := screenAlgFactory()()
+			b, _ := backf(p)
+			want, err := Run(p, alg, b, ligandSeed(3, e.Ligand.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Result.Best.Score != want.Best.Score || e.Result.Evaluations != want.Evaluations {
+				t.Errorf("ligand %s: shared-receptor run (%v, %d evals) != standalone (%v, %d evals)",
+					e.Ligand.Name, e.Result.Best.Score, e.Result.Evaluations, want.Best.Score, want.Evaluations)
+			}
+		}
 	}
 }

@@ -244,11 +244,12 @@ func (c *client) submit(ctx context.Context, base string, req service.ScreenRequ
 	return view, err
 }
 
-// partial fetches the completed-ligand ranking of a worker-side job. The
-// limit is pinned to the service's maximum so one poll always sees the
-// whole shard (shards are bounded by the library cap, which equals it).
-func (c *client) partial(ctx context.Context, base, id string, epoch uint64) (service.PartialView, error) {
-	url := base + "/v1/screens/" + id + "/partial?limit=" + strconv.Itoa(service.MaxRankingLimit)
+// partial fetches one cursor page of a worker-side job's completed
+// ligands: the records after sequence number `after`, in completion
+// order, up to the service's page cap.
+func (c *client) partial(ctx context.Context, base, id string, after int, epoch uint64) (service.PartialView, error) {
+	url := base + "/v1/screens/" + id + "/partial?after=" + strconv.Itoa(after) +
+		"&limit=" + strconv.Itoa(service.MaxRankingLimit)
 	var pv service.PartialView
 	err := c.do(ctx, http.MethodGet, url, nil, "", epoch, &pv)
 	return pv, err

@@ -9,10 +9,10 @@
 //
 // Workers are stock vsserved nodes — registration and heartbeating are
 // the only coordinator-specific traffic they emit. The coordinator
-// streams each shard's completed-ligand ranking from the worker's
-// /partial endpoint as the screen checkpoints, merging entries as they
-// arrive; when a worker dies (heartbeat timeout or repeated request
-// failures) only its unfinished ligands move, re-split over the
+// streams each shard's completed ligands from the worker's /partial
+// cursor as the screen records them, merging entries as they arrive;
+// when a worker dies (heartbeat timeout or repeated request failures)
+// only its unfinished ligands move, re-split over the
 // survivors proportionally to their observed throughput (the device
 // pool's warm-up-weighted re-split, lifted one level up). All
 // distributed state — membership, shard assignments, merged entries,
@@ -74,14 +74,16 @@ type Config struct {
 	// transient refusal is forgiven, a flapping node is not waited out.
 	FailThreshold int
 	// MaxResponseBytes caps how much of a worker response is read; 0
-	// sizes the cap to the service's library limit (MaxRankingLimit
-	// entries plus headroom), the largest partial a shard can produce.
+	// sizes the cap to one full /partial cursor page (MaxRankingLimit
+	// entries plus headroom), the largest response a poll can receive.
 	MaxResponseBytes int64
 	// Transport overrides the HTTP transport for worker requests —
 	// netsim fault injection in tests and chaos drills, proxies in odd
 	// deployments. nil = http.DefaultTransport.
 	Transport http.RoundTripper
-	// CompactBytes triggers journal compaction; default 4 MiB.
+	// CompactBytes triggers journal compaction once the journal is larger
+	// than this and twice its size after the last compaction
+	// (wal.Journal.ShouldCompact); default 4 MiB.
 	CompactBytes int64
 	// StealThreshold flags a shard as a straggler when its projected
 	// finish time (unfinished ligands / owner's observed rate) exceeds
@@ -106,6 +108,10 @@ type Config struct {
 
 	now func() time.Time // test hook; default time.Now
 }
+
+// journalRetryAfter is the Retry-After on a submission refused because
+// its admission could not be journaled (HTTP 507), matching the service.
+const journalRetryAfter = 5 * time.Second
 
 // maxPartialEntryBytes is the sizing assumption behind the default
 // response cap: one JSON partial entry with headroom for long ligand
@@ -158,7 +164,7 @@ func (c Config) withDefaults() Config {
 		c.FailThreshold = 2
 	}
 	if c.MaxResponseBytes == 0 {
-		// Sized to the library cap: the biggest partial one poll can see.
+		// Sized to one full cursor page: the biggest body one poll reads.
 		c.MaxResponseBytes = int64(service.MaxRankingLimit)*maxPartialEntryBytes + 64<<10
 	}
 	if c.CompactBytes <= 0 {
@@ -221,6 +227,14 @@ type shard struct {
 	lastPoll   time.Time
 	lastSeen   int // merged count at the previous poll
 	errs       int // consecutive failed requests for this shard
+
+	// The /partial cursor into the worker-side job's completion-ordered
+	// records: cursor is the sequence number merged through, token the
+	// worker incarnation it belongs to. Both reset when the remote job or
+	// the incarnation changes; merges are idempotent, so re-reading from
+	// 0 costs bandwidth, never correctness.
+	cursor int
+	token  string
 }
 
 // job is one distributed screen. Guarded by the coordinator's mutex.
@@ -254,13 +268,13 @@ type Coordinator struct {
 	cl      *client
 	metrics *Metrics
 
-	mu        sync.Mutex
-	workers   map[string]*worker
-	jobs      map[string]*job
-	order     []string
-	idem      map[string]string // idempotency key -> job ID
-	nextID    uint64
-	nextEpoch uint64      // monotonic fencing-epoch counter, journaled
+	mu         sync.Mutex
+	workers    map[string]*worker
+	jobs       map[string]*job
+	order      []string
+	idem       map[string]string // idempotency key -> job ID
+	nextID     uint64
+	nextEpoch  uint64      // monotonic fencing-epoch counter, journaled
 	fenced     []remoteRef // zombie worker-side jobs awaiting best-effort cancel
 	journal    *wal.Journal
 	draining   bool
@@ -317,13 +331,13 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Stats is the coordinator's /healthz snapshot.
 type Stats struct {
-	Workers             int  `json:"workers"`
-	WorkersAlive        int  `json:"workers_alive"`
-	WorkersQuarantined  int  `json:"workers_quarantined,omitempty"`
-	Jobs                int  `json:"jobs"`
-	Queued              int  `json:"queued"`
-	Running             int  `json:"running"`
-	Draining            bool `json:"draining"`
+	Workers            int  `json:"workers"`
+	WorkersAlive       int  `json:"workers_alive"`
+	WorkersQuarantined int  `json:"workers_quarantined,omitempty"`
+	Jobs               int  `json:"jobs"`
+	Queued             int  `json:"queued"`
+	Running            int  `json:"running"`
+	Draining           bool `json:"draining"`
 }
 
 // Stats snapshots coordinator-level gauges.
@@ -508,8 +522,23 @@ func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView
 	if idemKey != "" {
 		c.idem[idemKey] = j.id
 	}
+	if err := c.appendEvent(event{Type: evJob, Job: j.id, IdemKey: idemKey, Request: &j.req, Time: j.submitted}); err != nil {
+		// A 202 promises the screen survives a coordinator crash, and this
+		// admission never reached the journal: roll it back (the ID was
+		// never exposed) and shed it like a node with a failing disk.
+		delete(c.jobs, j.id)
+		c.order = c.order[:len(c.order)-1]
+		if idemKey != "" {
+			delete(c.idem, idemKey)
+		}
+		c.nextID--
+		return JobView{}, false, &service.ShedError{
+			Err:        fmt.Errorf("%w: %v", service.ErrStorageFull, err),
+			Reason:     "storage_full",
+			RetryAfter: journalRetryAfter,
+		}
+	}
 	c.metrics.JobSubmitted()
-	c.appendEvent(event{Type: evJob, Job: j.id, IdemKey: idemKey, Request: &j.req, Time: j.submitted})
 	c.superviseLocked(j)
 	c.log.Info("distributed screen submitted", "job", j.id, "ligands", len(j.names))
 	return c.viewLocked(j), false, nil

@@ -58,40 +58,52 @@ type event struct {
 	View    *JobView               `json:"view,omitempty"`
 }
 
-// appendEvent journals one event. Callers hold c.mu. Append failures
-// degrade durability, not correctness, mirroring the service's policy.
-func (c *Coordinator) appendEvent(ev event) {
+// appendEvent journals one event and reports whether it is durable.
+// Callers hold c.mu and have already applied ev to memory. A failed
+// append gets one repair attempt, the service's policy: the journal is
+// reopened at its last acknowledged size (wal Recover) and rewritten as a
+// full-state compaction, which re-journals ev together with anything lost
+// while the journal was failing. Most callers only log a failure —
+// durability degrades, the screen goes on — but Submit must not
+// acknowledge an admission that is not in the journal.
+func (c *Coordinator) appendEvent(ev event) error {
 	if c.journal == nil {
-		return
+		return nil
 	}
 	b, err := json.Marshal(ev)
-	if err == nil {
-		err = c.journal.Append(b)
-	}
 	if err != nil {
 		c.metrics.JournalError()
-		c.log.Error("dist journal append failed", "job", ev.Job, "err", err)
-		return
+		return err
 	}
-	if c.journal.Size() > c.cfg.CompactBytes {
-		c.compactLocked()
+	if err = c.journal.Append(b); err == nil {
+		if c.journal.ShouldCompact(c.cfg.CompactBytes) {
+			c.compactLocked()
+		}
+		return nil
 	}
+	c.metrics.JournalError()
+	c.log.Error("dist journal append failed", "job", ev.Job, "err", err)
+	if c.journal.Recover() == nil && c.compactLocked() == nil {
+		c.log.Info("dist journal repaired by compaction", "job", ev.Job)
+		return nil
+	}
+	return err
 }
 
 // compactLocked rewrites the journal as the minimal record set that
 // reproduces current state: membership, then per job either its terminal
 // snapshot or its admission + live assignments + merged entries (+
 // pending cancel). Caller holds c.mu.
-func (c *Coordinator) compactLocked() {
+func (c *Coordinator) compactLocked() error {
 	var live [][]byte
-	add := func(ev event) bool {
+	add := func(ev event) error {
 		b, err := json.Marshal(ev)
 		if err != nil {
 			c.metrics.JournalError()
-			return false
+			return err
 		}
 		live = append(live, b)
-		return true
+		return nil
 	}
 	urls := make([]string, 0, len(c.workers))
 	for u := range c.workers {
@@ -99,29 +111,27 @@ func (c *Coordinator) compactLocked() {
 	}
 	sort.Strings(urls)
 	for _, u := range urls {
-		if !add(event{Type: evWorker, Worker: u, Alive: c.workers[u].alive, Epoch: c.workers[u].epoch}) {
-			return
+		if err := add(event{Type: evWorker, Worker: u, Alive: c.workers[u].alive, Epoch: c.workers[u].epoch}); err != nil {
+			return err
 		}
 	}
 	for _, id := range c.order {
 		j := c.jobs[id]
+		if err := add(event{Type: evJob, Job: j.id, IdemKey: j.idemKey, Request: &j.req, Time: j.submitted}); err != nil {
+			return err
+		}
 		if j.final != nil {
-			ok := add(event{Type: evJob, Job: j.id, IdemKey: j.idemKey, Request: &j.req, Time: j.submitted}) &&
-				add(event{Type: evTerminal, Job: j.id, View: j.final})
-			if !ok {
-				return
+			if err := add(event{Type: evTerminal, Job: j.id, View: j.final}); err != nil {
+				return err
 			}
 			continue
-		}
-		if !add(event{Type: evJob, Job: j.id, IdemKey: j.idemKey, Request: &j.req, Time: j.submitted}) {
-			return
 		}
 		for _, sh := range j.shards {
 			if sh.moved {
 				continue
 			}
-			if !add(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: sh.ligands, HedgeOf: sh.hedgeOf}) {
-				return
+			if err := add(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: sh.ligands, HedgeOf: sh.hedgeOf}); err != nil {
+				return err
 			}
 		}
 		if len(j.merged) > 0 {
@@ -131,18 +141,22 @@ func (c *Coordinator) compactLocked() {
 					entries = append(entries, e)
 				}
 			}
-			if !add(event{Type: evEntries, Job: j.id, Entries: entries}) {
-				return
+			if err := add(event{Type: evEntries, Job: j.id, Entries: entries}); err != nil {
+				return err
 			}
 		}
-		if j.cancelRequested && !add(event{Type: evCancel, Job: j.id}) {
-			return
+		if j.cancelRequested {
+			if err := add(event{Type: evCancel, Job: j.id}); err != nil {
+				return err
+			}
 		}
 	}
 	if err := c.journal.Compact(live); err != nil {
 		c.metrics.JournalError()
 		c.log.Error("dist journal compact failed", "err", err)
+		return err
 	}
+	return nil
 }
 
 // openJournal opens the coordinator WAL and replays it into the job and

@@ -37,8 +37,8 @@ func NewMetrics() *Metrics {
 	return &Metrics{finished: make(map[service.JobState]int64)}
 }
 
-func (m *Metrics) WorkerJoined() { m.add(&m.workersJoined, 1) }
-func (m *Metrics) WorkerDied()   { m.add(&m.workerDeaths, 1) }
+func (m *Metrics) WorkerJoined()  { m.add(&m.workersJoined, 1) }
+func (m *Metrics) WorkerDied()    { m.add(&m.workerDeaths, 1) }
 func (m *Metrics) ShardAssigned() { m.add(&m.shards, 1) }
 func (m *Metrics) Reshard()       { m.add(&m.reshards, 1) }
 func (m *Metrics) PollError()     { m.add(&m.pollErrors, 1) }

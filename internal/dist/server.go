@@ -26,6 +26,9 @@ import (
 //	GET    /readyz                readiness                   -> 200/503
 //	GET    /metrics               Prometheus text exposition  -> 200
 //	GET    /debug/snapshot        stats + per-worker rates + jobs -> 200
+//
+// A refused submission answers like a node: 503 while draining, 507 with
+// Retry-After when the admission could not be journaled, 400 otherwise.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/screens", c.handleSubmit)
@@ -52,11 +55,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	view, existing, err := c.Submit(req, r.Header.Get("Idempotency-Key"))
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, service.ErrDraining) {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, err)
+		service.WriteSubmitError(w, err)
 		return
 	}
 	if existing {
@@ -147,6 +146,10 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, map[string]bool{"ready": ready})
 }
+
+// DebugHandler is the coordinator's debug listener (vsserved -debug-addr):
+// pprof, expvar and /debug/snapshot, the same surface a node serves.
+func (c *Coordinator) DebugHandler() http.Handler { return service.DebugMux(c.handleSnapshot) }
 
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Snapshot())

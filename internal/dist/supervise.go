@@ -367,6 +367,7 @@ func (c *Coordinator) dispatch(j *job, sh *shard) {
 	}
 	sh.errs = 0
 	sh.remote = view.ID
+	sh.cursor, sh.token = 0, ""
 	sh.dispatched = now
 	sh.lastPoll = now
 	sh.lastSeen = 0
@@ -377,34 +378,90 @@ func (c *Coordinator) dispatch(j *job, sh *shard) {
 		"job", j.id, "shard", sh.id, "worker", sh.worker, "remote", view.ID, "ligands", len(sh.ligands))
 }
 
-// poll fetches one shard's partial ranking and merges what's new. It
-// returns fatal=true with a message when the worker-side job reached a
-// terminal state that cannot produce the shard's ligands (failed, shed,
-// or cancelled out from under us) — a deterministic failure re-running
-// elsewhere would only repeat.
+// poll streams one shard's newly completed ligands from the worker's
+// /partial cursor, page by page until the cursor reaches the worker's
+// newest record, merging as it goes; then it updates the worker's
+// throughput estimate and judges the shard. It returns fatal=true with a
+// message when the worker-side job reached a terminal state that cannot
+// produce the shard's ligands (failed, shed, or cancelled out from under
+// us) — a deterministic failure re-running elsewhere would only repeat.
 func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
-	pv, err := c.cl.partial(c.reqCtx, sh.worker, sh.remote, sh.epoch)
-	now := c.cfg.now()
-	if err != nil {
-		var ae *apiError
-		if errors.As(err, &ae) && ae.status == http.StatusNotFound {
-			// The worker restarted without durability and forgot the job.
-			// Clearing remote re-dispatches under the same key next step.
+	fresh := 0
+	var pv service.PartialView
+	for {
+		c.mu.Lock()
+		after := sh.cursor
+		c.mu.Unlock()
+		var err error
+		pv, err = c.cl.partial(c.reqCtx, sh.worker, sh.remote, after, sh.epoch)
+		now := c.cfg.now()
+		if err != nil {
+			var ae *apiError
+			if errors.As(err, &ae) && ae.status == http.StatusNotFound {
+				// The worker restarted without durability and forgot the job.
+				// Clearing remote re-dispatches under the same key next step.
+				c.mu.Lock()
+				sh.remote = ""
+				c.mu.Unlock()
+				c.log.Warn("worker lost shard job; re-dispatching",
+					"job", j.id, "shard", sh.id, "worker", sh.worker)
+				return "", false
+			}
 			c.mu.Lock()
-			sh.remote = ""
-			c.mu.Unlock()
-			c.log.Warn("worker lost shard job; re-dispatching",
-				"job", j.id, "shard", sh.id, "worker", sh.worker)
+			defer c.mu.Unlock()
+			c.metrics.PollError()
+			sh.errs++
+			if sh.errs >= c.cfg.FailThreshold {
+				c.markWorkerDeadLocked(sh.worker, "poll failures")
+			}
 			return "", false
 		}
+
 		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.metrics.PollError()
-		sh.errs++
-		if sh.errs >= c.cfg.FailThreshold {
-			c.markWorkerDeadLocked(sh.worker, "poll failures")
+		if sh.moved || j.state.Terminal() {
+			c.mu.Unlock()
+			return "", false
 		}
-		return "", false
+		if !c.epochValidLocked(sh) {
+			// The response is from a shard whose owner died or revived under
+			// a newer epoch while the poll was in flight: its ligands were
+			// (or are about to be) re-split, so merging this body could
+			// double-count. Drop it — the byte-identical-ranking invariant
+			// depends on every ligand merging exactly once.
+			c.metrics.StalePartialRejected()
+			c.log.Warn("rejecting stale partial from fenced shard",
+				"job", j.id, "shard", sh.id, "worker", sh.worker, "shardEpoch", sh.epoch)
+			c.mu.Unlock()
+			return "", false
+		}
+		sh.errs = 0
+		if w := c.workers[sh.worker]; w != nil {
+			w.lastBeat = now
+		}
+		if pv.Incarnation != sh.token {
+			// A new worker incarnation (a restart, possibly one that lost
+			// records under -fsync interval) numbers its records afresh:
+			// a page read past our old cursor means nothing. Start over
+			// from 0; already-merged ligands are skipped on the way.
+			sh.token = pv.Incarnation
+			if after > 0 {
+				sh.cursor = 0
+				c.mu.Unlock()
+				c.log.Warn("worker incarnation changed; re-reading shard from the start",
+					"job", j.id, "shard", sh.id, "worker", sh.worker)
+				continue
+			}
+		}
+		fresh += c.mergeLocked(j, pv.Entries)
+		more := false
+		if pv.Next > after {
+			sh.cursor = pv.Next
+			more = pv.Next < pv.Completed
+		}
+		c.mu.Unlock()
+		if !more {
+			break
+		}
 	}
 
 	c.mu.Lock()
@@ -412,66 +469,21 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 	if sh.moved || j.state.Terminal() {
 		return "", false
 	}
-	if !c.epochValidLocked(sh) {
-		// The response is from a shard whose owner died or revived under a
-		// newer epoch while the poll was in flight: its ligands were (or
-		// are about to be) re-split, so merging this body could double-
-		// count. Drop it — the byte-identical-ranking invariant depends on
-		// every ligand merging exactly once.
-		c.metrics.StalePartialRejected()
-		c.log.Warn("rejecting stale partial from fenced shard",
-			"job", j.id, "shard", sh.id, "worker", sh.worker, "shardEpoch", sh.epoch)
-		return "", false
-	}
-	sh.errs = 0
-	w := c.workers[sh.worker]
-	if w != nil {
-		w.lastBeat = now
-	}
-
-	var fresh []service.PartialEntry
-	for _, e := range pv.Entries {
-		if !j.nameSet[e.Ligand] {
-			continue
+	now := c.cfg.now()
+	if w := c.workers[sh.worker]; w != nil && !sh.lastPoll.IsZero() {
+		if dt := now.Sub(sh.lastPoll).Seconds(); dt > 0 {
+			// Credit the worker only with ligands its own poll delivered
+			// first — in a hedge race both twins' counters move when either
+			// side merges, and the loser must not inherit the winner's rate.
+			w.rate.Observe(float64(fresh) / dt)
 		}
-		if _, ok := j.merged[e.Ligand]; ok {
-			continue
-		}
-		e.Rank = 0 // per-shard rank is meaningless after the merge
-		j.merged[e.Ligand] = e
-		fresh = append(fresh, e)
+		w.selfRate = pv.RateLPS
 	}
-	if len(fresh) > 0 {
-		c.metrics.LigandsMerged(len(fresh))
-		c.appendEvent(event{Type: evEntries, Job: j.id, Entries: fresh})
-	}
-
 	completed := 0
 	for _, n := range sh.ligands {
 		if _, ok := j.merged[n]; ok {
 			completed++
 		}
-	}
-	if w != nil && !sh.lastPoll.IsZero() {
-		if dt := now.Sub(sh.lastPoll).Seconds(); dt > 0 {
-			// Credit the worker only with ligands its own poll delivered
-			// first — in a hedge race both twins' counters move when either
-			// side merges, and the loser must not inherit the winner's rate.
-			freshOwn := 0
-			if len(fresh) > 0 {
-				freshSet := make(map[string]bool, len(fresh))
-				for _, e := range fresh {
-					freshSet[e.Ligand] = true
-				}
-				for _, n := range sh.ligands {
-					if freshSet[n] {
-						freshOwn++
-					}
-				}
-			}
-			w.rate.Observe(float64(freshOwn) / dt)
-		}
-		w.selfRate = pv.RateLPS
 	}
 	sh.lastPoll = now
 	sh.lastSeen = completed
@@ -489,6 +501,8 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 		c.resolveHedgeLocked(j, sh)
 		return "", false
 	}
+	// The cursor has reached the worker's newest record, so a terminal
+	// worker-side job has nothing more to hand over.
 	if pv.State.Terminal() {
 		if partner := j.livePartnerLocked(sh); partner != nil {
 			// One leg of a hedge pair died (shed, external cancel, …) but
@@ -509,6 +523,29 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 			sh.id, sh.worker, pv.State, completed, len(sh.ligands)), true
 	}
 	return "", false
+}
+
+// mergeLocked merges the entries of one partial page that belong to the
+// job and are not merged yet, journals them, and returns how many were
+// fresh. Caller holds c.mu.
+func (c *Coordinator) mergeLocked(j *job, entries []service.PartialEntry) int {
+	var fresh []service.PartialEntry
+	for _, e := range entries {
+		if !j.nameSet[e.Ligand] {
+			continue
+		}
+		if _, ok := j.merged[e.Ligand]; ok {
+			continue
+		}
+		e.Rank = 0 // per-shard rank is meaningless after the merge
+		j.merged[e.Ligand] = e
+		fresh = append(fresh, e)
+	}
+	if len(fresh) > 0 {
+		c.metrics.LigandsMerged(len(fresh))
+		c.appendEvent(event{Type: evEntries, Job: j.id, Entries: fresh})
+	}
+	return len(fresh)
 }
 
 // finishLocked moves a job to a terminal state, freezes its view (the
@@ -551,4 +588,3 @@ func (c *Coordinator) cancelRemotes(refs []remoteRef) {
 		}
 	}
 }
-

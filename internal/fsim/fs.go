@@ -16,8 +16,8 @@ type File interface {
 	Close() error
 }
 
-// FS is the filesystem surface the WAL, the service checkpoints and the
-// dist coordinator journal write through. Production uses OSFS; tests
+// FS is the filesystem surface the service WAL and the dist coordinator
+// journal write through. Production uses OSFS; tests
 // and chaos drills swap in a Faulty built from a Plan. Every call maps
 // 1:1 onto the os package function of the same name, plus SyncDir — the
 // directory fsync that makes renames and unlinks durable.

@@ -3,9 +3,9 @@
 // FaultPlan and netsim's network plan — the third leg of the fault
 // tripod: where cudasim makes simulated GPUs fail and netsim makes the
 // coordinator↔worker path drop and partition, fsim makes the bytes under
-// the WAL, the job checkpoints and the dist coordinator journal fail the
-// way real disks do — fsync errors, disk-full, torn writes, bit rot and
-// power loss — on a replayable schedule, from a seed and a one-line plan.
+// the service WAL and the dist coordinator journal fail the way real
+// disks do — fsync errors, disk-full, torn writes, bit rot and power
+// loss — on a replayable schedule, from a seed and a one-line plan.
 //
 // A plan is a comma-separated list of per-path clauses in the same
 // spirit as the -faults and -chaos DSLs:

@@ -4,19 +4,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/fsim"
 )
 
-// The ALICE-style crash-point explorer: run a fixed submit -> checkpoint
-// -> finish workload once under a recording fsim to learn how many
-// mutating filesystem operations (writes, syncs, renames, removes) it
-// performs, then replay it once per operation with a deterministic
-// crash@opK plan — simulating a power loss at every write/sync/rename
-// boundary — recover each frozen data dir into a fresh Server, and assert
-// the durability invariants:
+// The ALICE-style crash-point explorer: run a fixed submit -> ligand
+// records -> finish workload once under a recording fsim to learn how
+// many mutating filesystem operations (writes, syncs, renames, removes)
+// it performs, then replay it once per operation with a deterministic
+// crash@opK plan — simulating a power loss at every write/sync boundary,
+// including mid-record between a ligand record's write and its fsync —
+// recover each frozen data dir into a fresh Server, and assert the
+// durability invariants:
 //
 //   - no acknowledged job is lost: every submission that returned nil
 //     error in the crashed run exists after recovery;
@@ -30,14 +32,29 @@ const explorerSeed = 424242
 
 // explorerRequests is the workload: three distinct screens, each with an
 // idempotency key, submitted sequentially (each waits for the previous to
-// finish, so the mutating-op sequence is deterministic).
+// finish, so the mutating-op sequence is deterministic). A durable ligand
+// costs two mutating ops (record write, fsync), so the libraries are
+// sized to give the sweep well over 100 crash points; modeled scoring
+// keeps the docking itself cheap, since the sweep is about the write
+// pattern (real-scoring resume is TestCrashRecoveryResumesByteIdentical).
 func explorerRequests() []ScreenRequest {
 	reqs := make([]ScreenRequest, 3)
 	for i := range reqs {
 		reqs[i] = recoveryRequest
+		reqs[i].Library = 32
+		reqs[i].Modeled = true
 		reqs[i].Seed = uint64(7 + i)
 	}
 	return reqs
+}
+
+// explorerConfig is durableConfig with a small compaction threshold, so
+// the sweep also crosses the journal compactions (temp write, fsync,
+// rename, directory fsync, segment removal) the workload triggers.
+func explorerConfig(dir string) Config {
+	cfg := durableConfig(dir)
+	cfg.CompactBytes = 16 << 10
+	return cfg
 }
 
 // rankingBytes is the byte-identity fingerprint of a job's ranking.
@@ -84,7 +101,7 @@ func TestCrashPointExplorer(t *testing.T) {
 	// produces the reference rankings every recovered run must reproduce.
 	refDir := t.TempDir()
 	recorder := fsim.New(fsim.Plan{}, fsim.Config{Seed: explorerSeed})
-	cfg := durableConfig(refDir)
+	cfg := explorerConfig(refDir)
 	cfg.FS = recorder
 	s, err := New(cfg)
 	if err != nil {
@@ -101,6 +118,11 @@ func TestCrashPointExplorer(t *testing.T) {
 			t.Fatalf("clean run job %s: %+v (%v)", id, v, err)
 		}
 		reference[key] = rankingBytes(t, v)
+	}
+	var exposition strings.Builder
+	s.metrics.WriteTo(&exposition, s.Stats())
+	if strings.Contains(exposition.String(), "metascreen_journal_compactions_total 0\n") {
+		t.Fatal("the workload never compacted its journal; the sweep would miss compaction's write pattern")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	if err := s.Shutdown(ctx); err != nil {
@@ -122,11 +144,12 @@ func TestCrashPointExplorer(t *testing.T) {
 	}
 	t.Logf("exploring %d crash points (of %d mutating ops, stride %d)", (total+stride-1)/stride, total, stride)
 
-	explored := 0
 	for k := 1; k <= total; k += stride {
-		explored++
 		k := k
 		t.Run(fmt.Sprintf("op%03d", k), func(t *testing.T) {
+			// Crash points are independent (own dir, own fsim, own
+			// service) and mostly wait on fsync, so they overlap well.
+			t.Parallel()
 			dir := t.TempDir()
 
 			// Crashed run: identical workload, identical seed, power loss
@@ -137,7 +160,7 @@ func TestCrashPointExplorer(t *testing.T) {
 				t.Fatal(err)
 			}
 			faulty := fsim.New(plan, fsim.Config{Seed: explorerSeed})
-			cfg := durableConfig(dir)
+			cfg := explorerConfig(dir)
 			cfg.FS = faulty
 			var acked map[string]string
 			cs, err := New(cfg)
@@ -181,7 +204,6 @@ func TestCrashPointExplorer(t *testing.T) {
 			}
 		})
 	}
-	t.Logf("explored %d crash points, all invariants held", explored)
 }
 
 // TestExplorerWorkloadDeterministic guards the explorer's foundation: two
@@ -192,7 +214,7 @@ func TestExplorerWorkloadDeterministic(t *testing.T) {
 	ops := func() uint64 {
 		dir := t.TempDir()
 		rec := fsim.New(fsim.Plan{}, fsim.Config{Seed: explorerSeed})
-		cfg := durableConfig(dir)
+		cfg := explorerConfig(dir)
 		cfg.FS = rec
 		s, err := New(cfg)
 		if err != nil {

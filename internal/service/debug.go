@@ -24,7 +24,11 @@ import (
 // DebugHandler returns the debug mux. Mount it on its own listener; the
 // pprof endpoints can stall a request for seconds (CPU profiles) and must
 // not share the API's connection budget.
-func (s *Service) DebugHandler() http.Handler {
+func (s *Service) DebugHandler() http.Handler { return DebugMux(s.handleDebugSnapshot) }
+
+// DebugMux is the debug surface every vsserved role serves: the pprof
+// profiles, expvar, and the role's own /debug/snapshot handler.
+func DebugMux(snapshot http.HandlerFunc) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -32,7 +36,7 @@ func (s *Service) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/snapshot", s.handleDebugSnapshot)
+	mux.HandleFunc("/debug/snapshot", snapshot)
 	return mux
 }
 

@@ -93,6 +93,10 @@ type ScreenRequest struct {
 	Ligands []string `json:"ligands,omitempty"`
 }
 
+// MaxLibrary caps a request's synthetic library size, and with it the
+// number of ligands one job can record.
+const MaxLibrary = 10000
+
 // withDefaults fills zero fields with their documented defaults.
 func (r ScreenRequest) withDefaults() ScreenRequest {
 	if r.Dataset == "" {
@@ -132,8 +136,8 @@ func (r ScreenRequest) Validate() error {
 	if _, err := core.DatasetByName(r.Dataset); err != nil {
 		return err
 	}
-	if r.Library < 1 || r.Library > 10000 {
-		return fmt.Errorf("service: library size %d out of range [1,10000]", r.Library)
+	if r.Library < 1 || r.Library > MaxLibrary {
+		return fmt.Errorf("service: library size %d out of range [1,%d]", r.Library, MaxLibrary)
 	}
 	if r.Spots < 1 || r.Spots > 128 {
 		return fmt.Errorf("service: spots %d out of range [1,128]", r.Spots)
@@ -248,18 +252,17 @@ type Job struct {
 	attempts  int         // executions so far, retries included
 	lastErr   string      // most recent attempt error; kept on eventual success
 	idemKey   string      // client idempotency key, "" when none was sent
-	cpLigands int         // ligands recorded in the job's last checkpoint snapshot
 	restored  *ResultView // result replayed from the journal after a restart
 
 	// Admission state.
-	class          admission.Class // parsed from req.Priority
-	deadline       time.Time       // submitted + DeadlineSeconds; zero when none
-	probe          bool            // this job is the breaker's half-open probe
-	deviceLost     bool            // the final attempt lost every device
-	degraded       bool            // ran with reduced effort under pressure
-	effortFactor   float64         // multiplier applied to the search budget
-	effectiveScale float64         // req.Scale after degradation
-	cancelRequested bool           // a cancel was issued while running (journaled)
+	class           admission.Class // parsed from req.Priority
+	deadline        time.Time       // submitted + DeadlineSeconds; zero when none
+	probe           bool            // this job is the breaker's half-open probe
+	deviceLost      bool            // the final attempt lost every device
+	degraded        bool            // ran with reduced effort under pressure
+	effortFactor    float64         // multiplier applied to the search budget
+	effectiveScale  float64         // req.Scale after degradation
+	cancelRequested bool            // a cancel was issued while running (journaled)
 
 	// rec is the job's span recorder, epoch-pinned to submission time;
 	// the whole screening stack appends to it (the recorder has its own
@@ -267,22 +270,23 @@ type Job struct {
 	// Nil only for jobs restored from the journal, until first export.
 	rec *trace.Recorder
 
-	// partial accumulates per-ligand results as the running screen
-	// completes them (fed from the checkpoint callback), keyed by ligand
-	// name. The /partial endpoint serves it so the distributed
-	// coordinator can stream a shard's ranking before the shard is done.
-	partial map[string]core.LigandRecord
+	// records are the job's completed ligands in completion order, fed by
+	// the screen's per-ligand callback (and, after a restart, by journal
+	// replay). They are both the resume state of the next attempt and the
+	// sequence the /partial cursor walks: record i has sequence number
+	// i+1, and the slice only ever grows within one process.
+	records []core.LigandRecord
 
 	// rate tracks the job's own completion rate (ligands/second) over
-	// checkpoint deltas, reported to coordinators via PartialView so a
+	// record arrivals, reported to coordinators via PartialView so a
 	// shard's slowness is visible before poll-to-poll deltas resolve it.
 	rate   sched.RateEWMA
 	rateAt time.Time
 }
 
-// observeRate folds one checkpoint's newly completed ligand count into
-// the job's self-reported rate. The first call only anchors the clock —
-// a rate needs two checkpoints. Caller holds the service mutex.
+// observeRate folds newly completed ligands into the job's self-reported
+// rate. The first call only anchors the clock — a rate needs two
+// observations. Caller holds the service mutex.
 func (j *Job) observeRate(fresh int, now time.Time) {
 	if j.rateAt.IsZero() {
 		j.rateAt = now
@@ -294,19 +298,6 @@ func (j *Job) observeRate(fresh int, now time.Time) {
 	}
 	j.rate.Observe(float64(fresh) / dt)
 	j.rateAt = now
-}
-
-// addPartial folds newly completed ligand records into the job's partial
-// result set. Caller holds the service mutex.
-func (j *Job) addPartial(recs map[string]core.LigandRecord) {
-	if j.partial == nil {
-		j.partial = make(map[string]core.LigandRecord, len(recs))
-	}
-	for name, rec := range recs {
-		if _, ok := j.partial[name]; !ok {
-			j.partial[name] = rec
-		}
-	}
 }
 
 // RankEntry is one row of a job's ranking on the wire.
@@ -367,9 +358,9 @@ func (rv *ResultView) Paged(p Page) *ResultView {
 // and LastError let clients distinguish a retried-then-succeeded job from
 // a clean one: a done job with attempts > 1 recovered from transient
 // failures, and LastError names the most recent one. CheckpointLigands
-// reports resume progress for a durable job (how many ligands its last
-// checkpoint snapshot holds); IdempotencyKey echoes the key the job was
-// admitted under. The view is also the journal's snapshot record, so every
+// reports resume progress (how many completed ligands the job has
+// recorded — journaled ones for a durable job); IdempotencyKey echoes the
+// key the job was admitted under. The view is also the journal's snapshot record, so every
 // field must round-trip through JSON.
 type JobView struct {
 	ID                string        `json:"id"`
@@ -430,7 +421,7 @@ func (j *Job) view() JobView {
 		Attempts:          j.attempts,
 		LastError:         j.lastErr,
 		IdempotencyKey:    j.idemKey,
-		CheckpointLigands: j.cpLigands,
+		CheckpointLigands: len(j.records),
 		Degraded:          j.degraded,
 		EffortFactor:      j.effortFactor,
 		EffectiveScale:    j.effectiveScale,

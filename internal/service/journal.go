@@ -1,31 +1,33 @@
 package service
 
 // The durability layer: when Config.DataDir is set, every job lifecycle
-// transition is journaled to an append-only WAL (internal/wal) before the
-// response leaves the service, and each running screen's core.Checkpoint
-// is snapshotted atomically (temp file + rename) every CheckpointEvery
-// completed ligands. On the next boot over the same data dir the journal
-// is replayed: the job table is rebuilt, terminal jobs keep their results,
-// and jobs that were queued or running at the crash are re-enqueued — a
-// re-run resumes from its checkpoint, re-docking only unfinished ligands,
-// with a final ranking byte-identical to an uninterrupted run.
+// transition and every completed ligand is journaled to one append-only
+// WAL (internal/wal) before the service acts on it. On the next boot over
+// the same data dir the journal is replayed: the job table is rebuilt,
+// terminal jobs keep their results, each job's completed-ligand records
+// become its partial set and its resume state again, and jobs that were
+// queued or running at the crash are re-enqueued — a re-run re-docks only
+// the ligands without a record, with a final ranking byte-identical to an
+// uninterrupted run.
 //
 // Layout under DataDir:
 //
-//	journal/seg-%08d.wal   framed JSONL job events (see jobEvent)
-//	checkpoints/<id>.json  per-job core.Checkpoint snapshots
+//	journal/seg-%08d.wal   CRC-framed JSON job events (see jobEvent): one
+//	                       record per lifecycle transition, plus one
+//	                       compact "ligand" record (a core.LigandRecord)
+//	                       per completed ligand
 //
-// Event records are last-write-wins per job, which is what makes journal
-// compaction (full-snapshot records replacing history) crash-safe: a
-// replay of old events followed by a snapshot converges on the snapshot.
+// Making a ligand durable therefore costs one small append (and, under
+// wal.SyncAlways, one fsync) whatever the size of its job. Lifecycle
+// events are last-write-wins per job and a snapshot record resets the
+// job's ligand set before its live records follow it, which is what makes
+// journal compaction crash-safe: a replay of old events followed by the
+// compacted snapshot converges on the snapshot.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"syscall"
 	"time"
@@ -38,28 +40,28 @@ import (
 // Event types. Unknown types are skipped on replay so newer journals
 // degrade gracefully under older binaries.
 const (
-	evSubmitted  = "submitted"  // job admitted: request + idempotency key
-	evStarted    = "started"    // a worker claimed the job
-	evAttempt    = "attempt"    // one execution attempt finished (with error, if any)
-	evCheckpoint = "checkpoint" // the job's checkpoint snapshot was written
-	evCancel     = "cancel"     // a cancel was requested for a running job
-	evTerminal   = "terminal"   // the job reached a terminal state (full snapshot)
-	evSnapshot   = "snapshot"   // compaction record: full job snapshot
+	evSubmitted = "submitted" // job admitted: request + idempotency key
+	evStarted   = "started"   // a worker claimed the job
+	evAttempt   = "attempt"   // one execution attempt finished (with error, if any)
+	evLigand    = "ligand"    // one ligand completed (core.LigandRecord)
+	evCancel    = "cancel"    // a cancel was requested for a running job
+	evTerminal  = "terminal"  // the job reached a terminal state (full snapshot)
+	evSnapshot  = "snapshot"  // compaction record: full job snapshot; its ligand records follow
 )
 
 // jobEvent is one journal record. Which fields are set depends on Type;
 // terminal and snapshot events carry the whole JobView so replay needs no
 // other source of truth.
 type jobEvent struct {
-	Type    string         `json:"type"`
-	Job     string         `json:"job,omitempty"`
-	Time    time.Time      `json:"time,omitempty"`
-	Request *ScreenRequest `json:"request,omitempty"`
-	IdemKey string         `json:"idem_key,omitempty"`
-	Attempt int            `json:"attempt,omitempty"`
-	Error   string         `json:"error,omitempty"`
-	Ligands int            `json:"ligands,omitempty"`
-	View    *JobView       `json:"view,omitempty"`
+	Type    string             `json:"type"`
+	Job     string             `json:"job,omitempty"`
+	Time    time.Time          `json:"time,omitempty"`
+	Request *ScreenRequest     `json:"request,omitempty"`
+	IdemKey string             `json:"idem_key,omitempty"`
+	Attempt int                `json:"attempt,omitempty"`
+	Error   string             `json:"error,omitempty"`
+	Ligand  *core.LigandRecord `json:"ligand,omitempty"`
+	View    *JobView           `json:"view,omitempty"`
 }
 
 // RecoveryStats reports what a boot over an existing data dir recovered.
@@ -76,14 +78,11 @@ type RecoveryStats struct {
 // every job that was queued or running when the previous process died.
 // Called from New before the workers start, so no lock is needed.
 func (s *Service) openJournal() error {
-	if err := s.fs.MkdirAll(s.checkpointDir(), 0o755); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
 	j, info, err := wal.Open(filepath.Join(s.cfg.DataDir, "journal"), wal.Options{
 		Policy:       s.cfg.Fsync,
 		SyncInterval: s.cfg.FsyncInterval,
 		Logf:         func(format string, args ...any) { s.log.Warn(fmt.Sprintf(format, args...)) },
-		FS:           s.fs,
+		FS:           s.cfg.FS,
 		OnIOError:    func(op string, err error) { s.metrics.WALIOError(op) },
 	})
 	if err != nil {
@@ -115,6 +114,11 @@ func (s *Service) openJournal() error {
 	var pending, cancelled []*Job
 	for _, id := range s.order {
 		switch j := s.jobs[id]; {
+		case j.state == StateDone && len(j.records) == 0 && j.restored != nil:
+			// Compaction keeps only the terminal snapshot of a finished
+			// job; its ranking stands in for the ligand records (without
+			// per-ligand work counters) so /partial still serves it.
+			j.records = rankingRecords(j.restored)
 		case j.state.Terminal():
 		case j.cancelRequested:
 			cancelled = append(cancelled, j)
@@ -178,18 +182,39 @@ func (s *Service) applyEvent(ev jobEvent) {
 		j := s.jobFor(ev.Job)
 		j.attempts = ev.Attempt
 		j.lastErr = ev.Error
-	case evCheckpoint:
-		s.jobFor(ev.Job).cpLigands = ev.Ligands
+	case evLigand:
+		if ev.Ligand != nil {
+			j := s.jobFor(ev.Job)
+			j.records = append(j.records, *ev.Ligand)
+		}
 	case evCancel:
 		// The cancel may not have produced a terminal record before the
 		// crash; remember the intent so recovery finishes the job as
 		// cancelled instead of resurrecting it.
 		s.jobFor(ev.Job).cancelRequested = true
-	case evTerminal, evSnapshot:
+	case evTerminal:
 		if ev.View != nil {
 			s.applyView(ev.View)
 		}
+	case evSnapshot:
+		if ev.View != nil {
+			// The job's live ligand records follow its snapshot; anything
+			// replayed before it is history the snapshot supersedes.
+			s.applyView(ev.View)
+			s.jobs[ev.View.ID].records = nil
+		}
 	}
+}
+
+// rankingRecords rebuilds ligand records from a journaled ranking. Only
+// the pose score and spot survive; work counters read zero.
+func rankingRecords(rv *ResultView) []core.LigandRecord {
+	recs := make([]core.LigandRecord, len(rv.Ranking))
+	for i, e := range rv.Ranking {
+		recs[i] = core.LigandRecord{Name: e.Ligand, Atoms: e.Atoms,
+			Best: core.PoseRecord{Spot: e.Spot, Score: e.Score}}
+	}
+	return recs
 }
 
 // jobFor returns the job for a replayed event, creating a placeholder if
@@ -223,7 +248,6 @@ func (s *Service) applyView(v *JobView) {
 	j.err = v.Error
 	j.attempts = v.Attempts
 	j.lastErr = v.LastError
-	j.cpLigands = v.CheckpointLigands
 	j.idemKey = v.IdempotencyKey
 	j.degraded = v.Degraded
 	j.effortFactor = v.EffortFactor
@@ -294,24 +318,41 @@ func (s *Service) appendEvent(ev jobEvent) bool {
 // compaction. Caller holds s.mu.
 func (s *Service) afterAppendLocked(b []byte) bool {
 	s.metrics.JournalAppend(len(b))
-	if s.journal.Size() > s.cfg.CompactBytes {
+	if s.journal.ShouldCompact(s.cfg.CompactBytes) {
 		s.compactLocked()
 	}
 	return true
 }
 
 // compactLocked rewrites the journal as one snapshot record per job,
-// reporting success. Caller holds s.mu.
+// followed, for a job that can still run, by its ligand records — the
+// resume state. A terminal job's snapshot carries its result, so its
+// records are dropped. Reports success. Caller holds s.mu.
 func (s *Service) compactLocked() bool {
 	live := make([][]byte, 0, len(s.order))
-	for _, id := range s.order {
-		v := s.jobs[id].view()
-		b, err := json.Marshal(jobEvent{Type: evSnapshot, Job: id, View: &v})
+	add := func(ev jobEvent) bool {
+		b, err := json.Marshal(ev)
 		if err != nil {
 			s.metrics.JournalError()
 			return false
 		}
 		live = append(live, b)
+		return true
+	}
+	for _, id := range s.order {
+		j := s.jobs[id]
+		v := j.view()
+		if !add(jobEvent{Type: evSnapshot, Job: id, View: &v}) {
+			return false
+		}
+		if j.state.Terminal() {
+			continue
+		}
+		for i := range j.records {
+			if !add(jobEvent{Type: evLigand, Job: id, Ligand: &j.records[i]}) {
+				return false
+			}
+		}
 	}
 	if err := s.journal.Compact(live); err != nil {
 		s.metrics.JournalError()
@@ -375,126 +416,4 @@ func (s *Service) tryRecoverStorageLocked() bool {
 	s.log.Info("storage recovered, journaling re-enabled",
 		"degraded_seconds", now.Sub(s.storageSince).Seconds())
 	return true
-}
-
-// checkpointDir and checkpointPath locate per-job checkpoint snapshots.
-func (s *Service) checkpointDir() string { return filepath.Join(s.cfg.DataDir, "checkpoints") }
-func (s *Service) checkpointPath(id string) string {
-	return filepath.Join(s.checkpointDir(), id+".json")
-}
-
-// Checkpoint files end with a CRC32 trailer line over the JSON payload:
-// "#crc32 xxxxxxxx\n". A snapshot that fails verification (truncated,
-// bit-flipped, zero-length) is quarantined under <DataDir>/quarantine and
-// the job re-docks from its WAL state instead of failing the boot or
-// silently resuming from rot.
-const checkpointTrailerLen = len("#crc32 ") + 8 + 1
-
-// appendCheckpointTrailer appends the CRC trailer for payload.
-func appendCheckpointTrailer(payload []byte) []byte {
-	return append(payload, fmt.Sprintf("#crc32 %08x\n", crc32.ChecksumIEEE(payload))...)
-}
-
-// verifyCheckpointTrailer checks and strips the CRC trailer, returning
-// the JSON payload and whether the file verified.
-func verifyCheckpointTrailer(data []byte) ([]byte, bool) {
-	if len(data) < checkpointTrailerLen {
-		return nil, false
-	}
-	payload := data[:len(data)-checkpointTrailerLen]
-	trailer := data[len(data)-checkpointTrailerLen:]
-	var sum uint32
-	if _, err := fmt.Sscanf(string(trailer), "#crc32 %08x\n", &sum); err != nil {
-		return nil, false
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, false
-	}
-	return payload, true
-}
-
-// quarantineCheckpoint preserves a corrupt checkpoint file under
-// <DataDir>/quarantine/<id>.json for post-mortem. Best effort — recovery
-// proceeds on a fresh checkpoint either way.
-func (s *Service) quarantineCheckpoint(id string, reason string) {
-	qdir := filepath.Join(s.cfg.DataDir, "quarantine")
-	if err := s.fs.MkdirAll(qdir, 0o755); err != nil {
-		s.metrics.WALIOError("quarantine")
-		return
-	}
-	if err := s.fs.Rename(s.checkpointPath(id), filepath.Join(qdir, id+".json")); err != nil {
-		s.metrics.WALIOError("quarantine")
-		s.log.Warn("could not quarantine corrupt checkpoint", "job", id, "err", err)
-		return
-	}
-	s.metrics.CheckpointQuarantined()
-	s.log.Warn("corrupt checkpoint quarantined, re-docking from WAL state",
-		"job", id, "reason", reason, "quarantine", filepath.Join(qdir, id+".json"))
-}
-
-// loadJobCheckpoint reads a job's checkpoint snapshot, returning a fresh
-// checkpoint when none exists, quarantining it first when it is corrupt
-// (bad CRC trailer or undecodable JSON), and ignoring it when its seed
-// does not match the request — resuming would silently mix runs.
-func (s *Service) loadJobCheckpoint(id string, seed uint64) *core.Checkpoint {
-	data, err := s.fs.ReadFile(s.checkpointPath(id))
-	if err != nil {
-		return &core.Checkpoint{}
-	}
-	payload, ok := verifyCheckpointTrailer(data)
-	if !ok {
-		s.quarantineCheckpoint(id, "crc mismatch or truncated")
-		return &core.Checkpoint{}
-	}
-	cp, err := core.LoadCheckpoint(bytes.NewReader(payload))
-	if err != nil {
-		s.quarantineCheckpoint(id, err.Error())
-		return &core.Checkpoint{}
-	}
-	if cp.Seed != seed {
-		s.log.Warn("checkpoint seed mismatch, re-docking from scratch", "job", id)
-		return &core.Checkpoint{}
-	}
-	return cp
-}
-
-// writeJobCheckpoint snapshots a checkpoint atomically: temp file, fsync,
-// rename, directory fsync. A crash leaves either the old snapshot or the
-// new one, never a torn file — and the directory fsync makes sure the
-// rename itself survives a power loss, not just the temp file's bytes.
-func (s *Service) writeJobCheckpoint(id string, cp *core.Checkpoint) error {
-	path := s.checkpointPath(id)
-	tmp := path + ".tmp"
-	var buf bytes.Buffer
-	if err := core.SaveCheckpoint(&buf, cp); err != nil {
-		return err
-	}
-	framed := appendCheckpointTrailer(buf.Bytes())
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.SyncDir(s.checkpointDir()); err != nil {
-		s.metrics.WALIOError("dirsync")
-		return err
-	}
-	return nil
 }

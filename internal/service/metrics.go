@@ -102,15 +102,13 @@ type Metrics struct {
 	journalBytes       int64
 	journalErrors      int64
 	journalCompactions int64
-	checkpointsWritten int64
+	ligandRecords      int64
 	replayedRecords    int64
 	recoveredJobs      int64
 	truncatedBytes     int64
 
 	walIOErrors       map[string]int64 // absorbed/surfaced storage I/O failures by op
 	journalSkipped    int64            // appends skipped in storage-degraded mode
-	checkpointsQuar   int64            // corrupt checkpoints quarantined
-	checkpointErrors  int64            // checkpoint snapshot write failures
 	storageRecoveries int64            // successful storage recoveries (journal re-enabled)
 }
 
@@ -277,10 +275,10 @@ func (m *Metrics) JournalCompaction() {
 	m.mu.Unlock()
 }
 
-// CheckpointWritten counts one atomic per-job checkpoint snapshot.
-func (m *Metrics) CheckpointWritten() {
+// LigandRecorded counts one completed-ligand record journaled.
+func (m *Metrics) LigandRecorded() {
 	m.mu.Lock()
-	m.checkpointsWritten++
+	m.ligandRecords++
 	m.mu.Unlock()
 }
 
@@ -308,22 +306,6 @@ func (m *Metrics) WALIOErrorCounts() map[string]int64 {
 func (m *Metrics) JournalSkipped() {
 	m.mu.Lock()
 	m.journalSkipped++
-	m.mu.Unlock()
-}
-
-// CheckpointQuarantined counts one corrupt checkpoint snapshot moved to
-// quarantine instead of being resumed from.
-func (m *Metrics) CheckpointQuarantined() {
-	m.mu.Lock()
-	m.checkpointsQuar++
-	m.mu.Unlock()
-}
-
-// CheckpointError counts one failed checkpoint snapshot write (the screen
-// continues; the job keeps its previous snapshot).
-func (m *Metrics) CheckpointError() {
-	m.mu.Lock()
-	m.checkpointErrors++
 	m.mu.Unlock()
 }
 
@@ -459,7 +441,7 @@ func (m *Metrics) WriteTo(w io.Writer, st Stats) error {
 	p("# TYPE metascreen_worker_panics_total counter\n")
 	p("metascreen_worker_panics_total %d\n", m.workerPanics)
 
-	p("# HELP metascreen_journal_records_total Job lifecycle records appended to the journal.\n")
+	p("# HELP metascreen_journal_records_total Records appended to the journal: job lifecycle events and completed-ligand records.\n")
 	p("# TYPE metascreen_journal_records_total counter\n")
 	p("metascreen_journal_records_total %d\n", m.journalRecords)
 
@@ -475,9 +457,9 @@ func (m *Metrics) WriteTo(w io.Writer, st Stats) error {
 	p("# TYPE metascreen_journal_compactions_total counter\n")
 	p("metascreen_journal_compactions_total %d\n", m.journalCompactions)
 
-	p("# HELP metascreen_checkpoints_written_total Atomic per-job checkpoint snapshots written.\n")
-	p("# TYPE metascreen_checkpoints_written_total counter\n")
-	p("metascreen_checkpoints_written_total %d\n", m.checkpointsWritten)
+	p("# HELP metascreen_ligand_records_total Completed-ligand records journaled.\n")
+	p("# TYPE metascreen_ligand_records_total counter\n")
+	p("metascreen_ligand_records_total %d\n", m.ligandRecords)
 
 	p("# HELP metascreen_replayed_records_total Journal records applied during boot-time recovery.\n")
 	p("# TYPE metascreen_replayed_records_total counter\n")
@@ -505,14 +487,6 @@ func (m *Metrics) WriteTo(w io.Writer, st Stats) error {
 	p("# HELP metascreen_journal_skipped_total Journal appends skipped while storage-degraded.\n")
 	p("# TYPE metascreen_journal_skipped_total counter\n")
 	p("metascreen_journal_skipped_total %d\n", m.journalSkipped)
-
-	p("# HELP metascreen_checkpoints_quarantined_total Corrupt checkpoint snapshots quarantined during recovery.\n")
-	p("# TYPE metascreen_checkpoints_quarantined_total counter\n")
-	p("metascreen_checkpoints_quarantined_total %d\n", m.checkpointsQuar)
-
-	p("# HELP metascreen_checkpoint_errors_total Checkpoint snapshot write failures (screen continued).\n")
-	p("# TYPE metascreen_checkpoint_errors_total counter\n")
-	p("metascreen_checkpoint_errors_total %d\n", m.checkpointErrors)
 
 	p("# HELP metascreen_storage_recoveries_total Successful storage recoveries (journaling re-enabled).\n")
 	p("# TYPE metascreen_storage_recoveries_total counter\n")

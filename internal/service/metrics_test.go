@@ -37,8 +37,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	m.JournalAppend(80)
 	m.JournalError()
 	m.JournalCompaction()
-	m.CheckpointWritten()
-	m.CheckpointWritten()
+	m.LigandRecorded()
+	m.LigandRecorded()
 	m.Recovered(7, 2, 13)
 	m.Shed("queue_full")
 	m.Shed("breaker_open")
@@ -48,8 +48,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	m.WALIOError("sync")
 	m.WALIOError("dirsync")
 	m.JournalSkipped()
-	m.CheckpointQuarantined()
-	m.CheckpointError()
 	m.StorageRecovered()
 	m.ClassQueueWait(admission.ClassHigh, 20*time.Millisecond)
 	m.ClassQueueWait(admission.ClassNormal, 300*time.Millisecond)
@@ -169,7 +167,7 @@ metascreen_job_retries_total 3
 # HELP metascreen_worker_panics_total Worker panics recovered while running jobs.
 # TYPE metascreen_worker_panics_total counter
 metascreen_worker_panics_total 1
-# HELP metascreen_journal_records_total Job lifecycle records appended to the journal.
+# HELP metascreen_journal_records_total Records appended to the journal: job lifecycle events and completed-ligand records.
 # TYPE metascreen_journal_records_total counter
 metascreen_journal_records_total 2
 # HELP metascreen_journal_bytes_total Journal record payload bytes appended.
@@ -181,9 +179,9 @@ metascreen_journal_errors_total 1
 # HELP metascreen_journal_compactions_total Journal compactions into per-job snapshots.
 # TYPE metascreen_journal_compactions_total counter
 metascreen_journal_compactions_total 1
-# HELP metascreen_checkpoints_written_total Atomic per-job checkpoint snapshots written.
-# TYPE metascreen_checkpoints_written_total counter
-metascreen_checkpoints_written_total 2
+# HELP metascreen_ligand_records_total Completed-ligand records journaled.
+# TYPE metascreen_ligand_records_total counter
+metascreen_ligand_records_total 2
 # HELP metascreen_replayed_records_total Journal records applied during boot-time recovery.
 # TYPE metascreen_replayed_records_total counter
 metascreen_replayed_records_total 7
@@ -200,12 +198,6 @@ metascreen_wal_io_errors_total{op="sync"} 2
 # HELP metascreen_journal_skipped_total Journal appends skipped while storage-degraded.
 # TYPE metascreen_journal_skipped_total counter
 metascreen_journal_skipped_total 1
-# HELP metascreen_checkpoints_quarantined_total Corrupt checkpoint snapshots quarantined during recovery.
-# TYPE metascreen_checkpoints_quarantined_total counter
-metascreen_checkpoints_quarantined_total 1
-# HELP metascreen_checkpoint_errors_total Checkpoint snapshot write failures (screen continued).
-# TYPE metascreen_checkpoint_errors_total counter
-metascreen_checkpoint_errors_total 1
 # HELP metascreen_storage_recoveries_total Successful storage recoveries (journaling re-enabled).
 # TYPE metascreen_storage_recoveries_total counter
 metascreen_storage_recoveries_total 1

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -242,5 +243,69 @@ func TestLigandShardsMatchFullRun(t *testing.T) {
 	bad.Ligands = []string{"LIG-001", "LIG-001"}
 	if code := doJSON(t, c, "POST", srv.URL+"/v1/screens", bad, &errBody); code != http.StatusBadRequest {
 		t.Fatalf("duplicate ligand admitted with status %d", code)
+	}
+}
+
+// TestPartialCursor: /partial?after=<seq> pages through a job's records
+// in completion order — each page starts where the previous one's next
+// left off, the union is the complete ranking's ligand set with nothing
+// repeated, and next reaches completed at the end. Every page carries
+// the process's incarnation token; a malformed cursor is a client error.
+func TestPartialCursor(t *testing.T) {
+	s := realService(t, Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := srv.Client()
+
+	v := submitAndWait(t, c, srv.URL, partialRequest)
+	if v.State != StateDone {
+		t.Fatalf("screen ended %s: %s", v.State, v.Error)
+	}
+	seen := map[string]PartialEntry{}
+	after, token := 0, ""
+	for pages := 0; ; pages++ {
+		if pages > 6 {
+			t.Fatal("cursor never reached the end")
+		}
+		var pv PartialView
+		u := fmt.Sprintf("%s/v1/screens/%s/partial?after=%d&limit=4", srv.URL, v.ID, after)
+		if code := doJSON(t, c, "GET", u, nil, &pv); code != http.StatusOK {
+			t.Fatalf("cursor page status %d", code)
+		}
+		if pv.Incarnation == "" || (token != "" && pv.Incarnation != token) {
+			t.Fatalf("incarnation token %q (previous %q)", pv.Incarnation, token)
+		}
+		token = pv.Incarnation
+		if pv.Next != after+len(pv.Entries) || len(pv.Entries) > 4 {
+			t.Fatalf("page after=%d: %d entries, next=%d", after, len(pv.Entries), pv.Next)
+		}
+		for _, e := range pv.Entries {
+			if _, dup := seen[e.Ligand]; dup {
+				t.Fatalf("ligand %s served twice", e.Ligand)
+			}
+			seen[e.Ligand] = e
+		}
+		after = pv.Next
+		if pv.Next == pv.Completed {
+			break
+		}
+	}
+	if len(seen) != len(v.Result.Ranking) {
+		t.Fatalf("cursor served %d ligands, ranking has %d", len(seen), len(v.Result.Ranking))
+	}
+	for _, r := range v.Result.Ranking {
+		if e, ok := seen[r.Ligand]; !ok || e.Score != r.Score || e.Spot != r.Spot {
+			t.Errorf("ligand %s: cursor entry %+v, ranking row %+v", r.Ligand, e, r)
+		}
+	}
+	var errBody map[string]string
+	if code := doJSON(t, c, "GET", srv.URL+"/v1/screens/"+v.ID+"/partial?after=-1", nil, &errBody); code != http.StatusBadRequest {
+		t.Errorf("negative cursor status %d, want 400", code)
+	}
+
+	// Another process (a restart) numbers its records under a new token.
+	other := realService(t, Config{Workers: 1})
+	if other.incarnation == s.incarnation {
+		t.Error("two service instances share an incarnation token")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"syscall"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/core"
@@ -263,13 +262,11 @@ func (s *Service) sleepRetry(ctx context.Context, delay time.Duration) bool {
 // the exact same core screen call a library user would write, so a
 // service job and a library screen with equal parameters and seed return
 // identical rankings. A request naming specific Ligands screens just that
-// shard of the library, in library order. With durability enabled, the
-// screen resumes from the job's checkpoint snapshot and re-snapshots it
-// every CheckpointEvery completed ligands — since seed lanes are keyed by
-// ligand name, the resumed ranking is byte-identical to an uninterrupted
-// run. Every run goes through the resumable path so each completed ligand
-// also lands in the job's in-memory partial mirror, which the /partial
-// endpoint streams to the distributed coordinator.
+// shard of the library, in library order. Every attempt resumes from the
+// job's ligand records — those of earlier attempts and, after a restart,
+// those replayed from the journal — and files each new completion through
+// recordLigand. Seed lanes are keyed by ligand name, so the resumed
+// ranking is byte-identical to an uninterrupted run.
 func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
 	ds, err := core.DatasetByName(req.Dataset)
 	if err != nil {
@@ -288,61 +285,20 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 	}
 	spotOpts := surface.Options{MaxSpots: req.Spots}
 
+	cp := &core.Checkpoint{Seed: req.Seed, Ligands: make(map[string]core.LigandRecord)}
 	s.mu.Lock()
-	durable := s.journal != nil
-	s.mu.Unlock()
-
-	cp := &core.Checkpoint{}
-	if durable {
-		cp = s.loadJobCheckpoint(id, req.Seed)
-		if len(cp.Ligands) > 0 {
-			// A resumed job's already-completed ligands are partial
-			// results too.
-			s.mirrorPartial(id, cp.Ligands)
+	if j, ok := s.jobs[id]; ok {
+		for _, rec := range j.records {
+			cp.Ligands[rec.Name] = rec
 		}
 	}
-	onCp := func(cp *core.Checkpoint, newly int) error {
-		s.mirrorPartial(id, cp.Ligands)
-		if !durable || newly%s.cfg.CheckpointEvery != 0 {
-			return nil
-		}
-		s.mu.Lock()
-		degraded := s.storageDegraded
-		s.mu.Unlock()
-		if degraded {
-			// Read-only mode: in-flight jobs finish un-journaled; the job
-			// keeps its last good snapshot.
-			return nil
-		}
-		if err := s.writeJobCheckpoint(id, cp); err != nil {
-			// A failed snapshot must not abort the screen: the job keeps
-			// its previous checkpoint and the WAL still replays its
-			// lifecycle. A full disk flips degraded mode so the service
-			// stops promising durability it cannot deliver.
-			s.metrics.CheckpointError()
-			s.log.Warn("checkpoint write failed, screen continues", "job", id, "err", err)
-			if errors.Is(err, syscall.ENOSPC) {
-				s.mu.Lock()
-				s.enterDegradedLocked(err)
-				s.mu.Unlock()
-			}
-			return nil
-		}
-		s.mu.Lock()
-		if j, ok := s.jobs[id]; ok {
-			j.cpLigands = len(cp.Ligands)
-		}
-		s.appendEvent(jobEvent{Type: evCheckpoint, Job: id, Ligands: len(cp.Ligands)})
-		hook := s.checkpointHook
-		s.mu.Unlock()
-		s.metrics.CheckpointWritten()
-		if hook != nil {
-			hook(id, newly)
-		}
+	s.mu.Unlock()
+	onRecord := func(rec core.LigandRecord, newly int) error {
+		s.recordLigand(id, rec, newly)
 		return nil
 	}
 	return core.ScreenResumableCtx(ctx, ds.Receptor, lib, spotOpts, forcefield.Options{},
-		algf, backf, req.Seed, s.cfg.ScreenWorkers, cp, onCp)
+		algf, backf, req.Seed, s.cfg.ScreenWorkers, cp, onRecord)
 }
 
 // filterLibrary keeps the named ligands, preserving library order so

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,12 +19,13 @@ import (
 	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/surface"
+	"github.com/metascreen/metascreen/internal/wal"
 )
 
 // The crash-recovery contract, end to end: a service killed mid-screen
 // and rebooted over the same data dir resumes the interrupted job from
-// its checkpoint, re-docks only the unfinished ligands, and produces a
-// final ranking byte-identical to an uninterrupted run.
+// its journaled ligand records, re-docks only the unfinished ligands, and
+// produces a final ranking byte-identical to an uninterrupted run.
 
 // jsonBody marshals a request body.
 func jsonBody(t *testing.T, v any) io.Reader {
@@ -48,11 +51,37 @@ var recoveryRequest = ScreenRequest{
 	Dataset: "2BSM", Library: 6, Spots: 2, Metaheuristic: "M3", Scale: 0.02, Seed: 7,
 }
 
-// durableConfig is the one-worker, checkpoint-per-ligand configuration the
-// recovery tests run under (deterministic crash points need ScreenWorkers
-// = 1).
+// durableConfig is the one-worker durable configuration the recovery
+// tests run under (deterministic crash points need ScreenWorkers = 1).
 func durableConfig(dir string) Config {
-	return Config{Workers: 1, ScreenWorkers: 1, DataDir: dir, CheckpointEvery: 1, MaxAttempts: 1}
+	return Config{Workers: 1, ScreenWorkers: 1, DataDir: dir, MaxAttempts: 1}
+}
+
+// journalEvents reads every event a data dir's journal holds, oldest
+// first, straight from the segment files.
+func journalEvents(t *testing.T, dir string) []jobEvent {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "journal", "seg-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	var out []jobEvent
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := wal.ScanRecords(data)
+		for _, rec := range recs {
+			var ev jobEvent
+			if err := json.Unmarshal(rec, &ev); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // referenceResult runs recoveryRequest through the library API — the
@@ -100,8 +129,8 @@ func assertMatchesReference(t *testing.T, got *ResultView, want *core.ScreenResu
 }
 
 // crashAfterCheckpoints runs recoveryRequest on a fresh durable service
-// and simulates process death once exactly n ligands are checkpointed,
-// returning the interrupted job's ID.
+// and simulates process death once exactly n ligand records are
+// journaled, returning the interrupted job's ID.
 func crashAfterCheckpoints(t *testing.T, dir string, n int) string {
 	t.Helper()
 	s, err := New(durableConfig(dir))
@@ -111,9 +140,9 @@ func crashAfterCheckpoints(t *testing.T, dir string, n int) string {
 	armed := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	// The hook holds the screen at the n-th checkpoint so the "kill"
+	// The hook holds the screen at the n-th record so the "kill"
 	// always lands at the same mid-screen point.
-	s.checkpointHook = func(id string, newly int) {
+	s.recordHook = func(id string, newly int) {
 		if newly == n {
 			once.Do(func() { close(armed) })
 			<-release
@@ -139,20 +168,20 @@ func TestCrashRecoveryResumesByteIdentical(t *testing.T) {
 	want := referenceResult(t)
 	id := crashAfterCheckpoints(t, dir, 2)
 
-	// The dead process left a checkpoint with exactly the 2 completed
-	// ligands and no terminal record.
-	cp, err := os.Open(dir + "/checkpoints/" + id + ".json")
-	if err != nil {
-		t.Fatalf("no checkpoint survived the crash: %v", err)
+	// The dead process journaled exactly the 2 completed ligands, one
+	// compact record each, and no terminal record.
+	var recorded []string
+	for _, ev := range journalEvents(t, dir) {
+		switch {
+		case ev.Job != id:
+		case ev.Type == evLigand:
+			recorded = append(recorded, ev.Ligand.Name)
+		case ev.Type == evTerminal:
+			t.Fatalf("crashed job has a terminal record: %+v", ev.View)
+		}
 	}
-	saved, err := core.LoadCheckpoint(cp)
-	cp.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(saved.Ligands) != 2 || saved.Seed != recoveryRequest.Seed {
-		t.Fatalf("checkpoint holds %d ligands (seed %d), want 2 (seed %d)",
-			len(saved.Ligands), saved.Seed, recoveryRequest.Seed)
+	if len(recorded) != 2 {
+		t.Fatalf("journal holds %d ligand records %v, want 2", len(recorded), recorded)
 	}
 
 	// Boot a fresh service over the same data dir: the job comes back
@@ -168,7 +197,7 @@ func TestCrashRecoveryResumesByteIdentical(t *testing.T) {
 	}()
 	var redocked atomic.Int64
 	s2.mu.Lock()
-	s2.checkpointHook = func(string, int) { redocked.Add(1) }
+	s2.recordHook = func(string, int) { redocked.Add(1) }
 	s2.mu.Unlock()
 
 	rec := s2.Recovery()
@@ -190,9 +219,9 @@ func TestCrashRecoveryResumesByteIdentical(t *testing.T) {
 	if v.Attempts < 2 {
 		t.Errorf("attempts = %d; the resumed execution should count past the crashed one", v.Attempts)
 	}
-	// The finished job retired its checkpoint file.
-	if _, err := os.Stat(dir + "/checkpoints/" + id + ".json"); !os.IsNotExist(err) {
-		t.Errorf("checkpoint file still present after completion: %v", err)
+	// Durability is the journal alone: no per-job snapshot files.
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
+		t.Errorf("checkpoints directory exists: %v", err)
 	}
 }
 

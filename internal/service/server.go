@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -20,7 +21,10 @@ import (
 //	                              ranking_total reports the full length)
 //	GET    /v1/screens/{id}/partial  completed-ligand ranking so far
 //	                              -> 200 PartialView (same limit/offset
-//	                              params; the distributed coordinator
+//	                              params); with ?after=<seq> a cursor page
+//	                              instead: up to limit records completed
+//	                              after seq, plus next and the incarnation
+//	                              token (the distributed coordinator
 //	                              streams shard merges from it)
 //	GET    /v1/screens/{id}/trace Chrome-trace-format job timeline -> 200
 //	                              (also served as GET /jobs/{id}/trace;
@@ -87,7 +91,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	view, existing, err := s.SubmitIdem(req, r.Header.Get("Idempotency-Key"))
 	if err != nil {
-		writeError(w, submitStatus(err), err)
+		WriteSubmitError(w, err)
 		return
 	}
 	if existing {
@@ -99,6 +103,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/v1/screens/"+view.ID)
 	writeJSON(w, http.StatusAccepted, view)
 }
+
+// WriteSubmitError answers a refused submission: the status submitStatus
+// maps err to and, for a ShedError, its Retry-After header and structured
+// body. The coordinator answers its own submissions through it too.
+func WriteSubmitError(w http.ResponseWriter, err error) { writeError(w, submitStatus(err), err) }
 
 // submitStatus maps an admission error to its HTTP status: retryable
 // backpressure is 429, outright unavailability 503, and a full or failing
@@ -135,21 +144,33 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// handlePartial serves the ranking of the ligands a job has completed so
-// far — the coordinator's streaming-merge source. Terminal jobs serve
-// their full set, so one polling loop covers a shard's whole lifecycle.
+// handlePartial serves the ligands a job has completed so far — ranked,
+// or as a cursor page when the request carries after=<seq>, which is how
+// the coordinator streams shard merges. Terminal jobs serve their full
+// set, so one polling loop covers a shard's whole lifecycle.
 func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
-	pv, err := s.Partial(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	page, err := ParsePage(r.URL.Query())
+	q := r.URL.Query()
+	page, err := ParsePage(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pv.Paginate(page)
+	var pv PartialView
+	if v := q.Get("after"); v != "" {
+		after, perr := strconv.Atoi(v)
+		if perr != nil || after < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("service: after %q must be a non-negative integer", v))
+			return
+		}
+		pv, err = s.PartialAfter(r.PathValue("id"), after, page.Limit)
+	} else {
+		pv, err = s.Partial(r.PathValue("id"))
+		pv.Paginate(page)
+	}
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, pv)
 }
 

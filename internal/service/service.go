@@ -25,8 +25,9 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"os"
+	"math/rand/v2"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -59,26 +60,24 @@ type Config struct {
 	// per retry (jittered, capped at 5s). 0 means 100ms.
 	RetryBaseDelay time.Duration
 
-	// DataDir enables durability: job lifecycle events are journaled to
-	// <DataDir>/journal and per-job checkpoints snapshotted under
-	// <DataDir>/checkpoints, so a crashed process resumes its jobs on the
-	// next boot over the same directory. Empty keeps everything in memory
-	// (the pre-durability behaviour).
+	// DataDir enables durability: job lifecycle events and one record per
+	// completed ligand are journaled to <DataDir>/journal, so a crashed
+	// process resumes its jobs on the next boot over the same directory,
+	// re-docking only ligands without a record. Empty keeps everything in
+	// memory (the pre-durability behaviour).
 	DataDir string
 	// Fsync is the journal's fsync policy; the zero value is
 	// wal.SyncAlways. Only meaningful with DataDir.
 	Fsync wal.SyncPolicy
 	// FsyncInterval is the wal.SyncInterval cadence; 0 means 100ms.
 	FsyncInterval time.Duration
-	// CheckpointEvery snapshots a running job's checkpoint after every N
-	// newly completed ligands; 0 means 1 (snapshot after each ligand).
-	CheckpointEvery int
-	// CompactBytes compacts the journal into per-job snapshots when it
-	// grows past this size; 0 means 4 MiB.
+	// CompactBytes compacts the journal into per-job snapshots once it
+	// is larger than this and twice its size after the last compaction
+	// (wal.Journal.ShouldCompact); 0 means 4 MiB.
 	CompactBytes int64
-	// FS is the filesystem the journal and checkpoints write through; nil
-	// means the real one. The -disk-chaos flag and the crash-point
-	// explorer inject a fsim.Faulty here.
+	// FS is the filesystem the journal writes through; nil means the real
+	// one. The -disk-chaos flag and the crash-point explorer inject a
+	// fsim.Faulty here.
 	FS fsim.FS
 
 	// Admission tunes overload protection (adaptive concurrency limiter,
@@ -110,9 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBaseDelay <= 0 {
 		c.RetryBaseDelay = 100 * time.Millisecond
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
 	if c.CompactBytes <= 0 {
 		c.CompactBytes = 4 << 20
 	}
@@ -120,8 +116,7 @@ func (c Config) withDefaults() Config {
 }
 
 // runnerFunc executes one screen; tests substitute a controllable stub.
-// The job ID keys the durable checkpoint the production runner resumes
-// from.
+// The job ID keys the ligand records the production runner resumes from.
 type runnerFunc func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error)
 
 // Service is the screening service: job registry, bounded queue, worker
@@ -146,7 +141,6 @@ type Service struct {
 
 	// Durability (nil journal when DataDir is unset).
 	journal  *wal.Journal
-	fs       fsim.FS
 	idem     map[string]string // idempotency key -> job ID
 	recovery RecoveryStats
 	crashed  bool // crashForTest: suppress terminal side effects
@@ -161,9 +155,14 @@ type Service struct {
 	storageNotify    chan struct{}
 	storageOnce      sync.Once
 
-	// checkpointHook observes checkpoint snapshots; recovery tests use it
-	// to crash at a deterministic mid-screen point.
-	checkpointHook func(jobID string, newly int)
+	// recordHook observes each journaled ligand record; recovery tests
+	// use it to crash at a deterministic mid-screen point.
+	recordHook func(jobID string, newly int)
+
+	// incarnation distinguishes this process's /partial cursor sequences
+	// from those of an earlier boot over the same data dir, whose record
+	// order a consumer must not resume into.
+	incarnation string
 
 	// lastWarmup holds the most recent warm-up Percent factors reported
 	// by a finished job's backend, for the debug snapshot.
@@ -180,7 +179,7 @@ type Service struct {
 // New builds a service and starts its worker pool. With Config.DataDir
 // set, it first replays the journal found there: the job table is rebuilt,
 // finished jobs keep their rankings, and interrupted jobs are re-enqueued
-// to resume from their checkpoints.
+// to resume from their journaled ligand records.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	now := time.Now
@@ -204,12 +203,9 @@ func New(cfg Config) (*Service, error) {
 		queue:   newJobQueue(cfg.QueueDepth),
 		ctrl:    admission.NewController(acfg),
 		now:     now,
-		fs:      cfg.FS,
 
+		incarnation:   strconv.FormatUint(rand.Uint64(), 36),
 		storageNotify: make(chan struct{}),
-	}
-	if s.fs == nil {
-		s.fs = fsim.OSFS()
 	}
 	if s.log == nil {
 		s.log = obs.Nop()
@@ -442,10 +438,8 @@ func (s *Service) Cancel(id string) (JobView, error) {
 	return j.view(), nil
 }
 
-// finishLocked moves a job to a terminal state, records it in the metrics,
-// journals the full final snapshot, and retires the job's checkpoint file
-// (the terminal event carries the result, so the checkpoint has nothing
-// left to add). Caller holds s.mu.
+// finishLocked moves a job to a terminal state, records it in the metrics
+// and journals the full final snapshot. Caller holds s.mu.
 func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, errMsg string) {
 	j.state = state
 	j.finished = s.now()
@@ -481,9 +475,6 @@ func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, e
 	if s.journal != nil {
 		v := j.view()
 		s.appendEvent(jobEvent{Type: evTerminal, Job: j.id, Time: j.finished, View: &v})
-		if err := s.fs.Remove(s.checkpointPath(j.id)); err != nil && !os.IsNotExist(err) {
-			s.metrics.WALIOError("remove")
-		}
 	}
 	s.log.Info("job finished", "job", j.id, "state", string(state),
 		"latency_seconds", j.finished.Sub(j.submitted).Seconds(), "err", errMsg)

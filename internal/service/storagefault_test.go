@@ -2,68 +2,93 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/fsim"
+	"github.com/metascreen/metascreen/internal/wal"
 )
 
-// corruptCheckpoint rewrites the interrupted job's checkpoint file with
-// mutate applied to its current bytes.
-func corruptCheckpoint(t *testing.T, dir, id string, mutate func([]byte) []byte) {
+// corruptJournalTail rewrites the newest journal segment with mutate
+// applied to its last record's frame (header + payload) — the ligand
+// record the interrupted job journaled last.
+func corruptJournalTail(t *testing.T, dir string, mutate func(frame []byte) []byte) {
 	t.Helper()
-	path := filepath.Join(dir, "checkpoints", id+".json")
+	segs, err := filepath.Glob(filepath.Join(dir, "journal", "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no journal segments (%v)", err)
+	}
+	sort.Strings(segs)
+	path := segs[len(segs)-1]
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
+	recs, valid := wal.ScanRecords(data)
+	if valid != len(data) || len(recs) == 0 {
+		t.Fatalf("journal tail already damaged: %d records, %d/%d valid bytes", len(recs), valid, len(data))
+	}
+	last := wal.AppendFrame(nil, recs[len(recs)-1])
+	var ev jobEvent
+	if err := json.Unmarshal(recs[len(recs)-1], &ev); err != nil || ev.Type != evLigand {
+		t.Fatalf("last journal record is %q (%v), want a ligand record", ev.Type, err)
+	}
+	head := data[:len(data)-len(last)]
+	out := append(append([]byte(nil), head...), mutate(last)...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCheckpointCorruptionFallback: a damaged checkpoint must never stop
-// a job from finishing. The service quarantines the corrupt file (for
-// post-mortem, under <DataDir>/quarantine/) and falls back to WAL-only
-// replay — the job restarts from scratch and still produces the
-// reference ranking.
+// TestCheckpointCorruptionFallback: a torn or corrupt journal tail must
+// never stop a job from finishing. The crash left the job's second ligand
+// record last in the journal; whichever way that record is damaged, the
+// WAL's CRC framing drops it (preserving the bytes under
+// journal/quarantine/ for post-mortem), the job resumes from the one
+// record before it, re-docks the rest and still produces the reference
+// ranking.
 func TestCheckpointCorruptionFallback(t *testing.T) {
 	want := referenceResult(t)
 	cases := []struct {
-		name       string
-		mutate     func([]byte) []byte
-		quarantine bool
+		name   string
+		mutate func([]byte) []byte
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, true},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-len(b)/3] }},
 		{"bit_flipped", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
-			c[len(c)/3] ^= 0x10
+			c[len(c)-len(c)/3] ^= 0x10
 			return c
-		}, true},
-		{"zero_length", func(b []byte) []byte { return nil }, true},
+		}},
+		// The header landed but none of the payload did.
+		{"zero_length", func(b []byte) []byte { return b[:8] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			id := crashAfterCheckpoints(t, dir, 2)
-			corruptCheckpoint(t, dir, id, tc.mutate)
+			corruptJournalTail(t, dir, tc.mutate)
 
 			s, err := New(durableConfig(dir))
 			if err != nil {
-				t.Fatalf("boot with corrupt checkpoint failed: %v", err)
+				t.Fatalf("boot with corrupt journal tail failed: %v", err)
 			}
 			defer func() {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()
 				s.Shutdown(ctx)
 			}()
+			if rec := s.Recovery(); rec.TruncatedBytes == 0 || rec.RecoveredJobs != 1 {
+				t.Errorf("recovery %+v, want a truncated tail and 1 recovered job", rec)
+			}
 
 			waitFor(t, func() bool {
 				v, err := s.Get(id)
@@ -71,22 +96,20 @@ func TestCheckpointCorruptionFallback(t *testing.T) {
 			})
 			v, err := s.Get(id)
 			if err != nil || v.State != StateDone {
-				t.Fatalf("job %s after corrupt-checkpoint reboot: state %q err %v, want done", id, v.State, err)
+				t.Fatalf("job %s after corrupt-tail reboot: state %q err %v, want done", id, v.State, err)
 			}
 			assertMatchesReference(t, v.Result, want)
 
-			if tc.quarantine {
-				qpath := filepath.Join(dir, "quarantine", id+".json")
-				if _, err := os.Stat(qpath); err != nil {
-					t.Errorf("corrupt checkpoint not preserved under quarantine/: %v", err)
-				}
+			tails, _ := filepath.Glob(filepath.Join(dir, "journal", "quarantine", "*.tail"))
+			if len(tails) != 1 {
+				t.Errorf("corrupt tail not preserved under journal/quarantine/: %v", tails)
 			}
 			var buf strings.Builder
 			if err := s.metrics.WriteTo(&buf, s.Stats()); err != nil {
 				t.Fatal(err)
 			}
-			if strings.Contains(buf.String(), "metascreen_checkpoints_quarantined_total 0\n") {
-				t.Errorf("checkpoints_quarantined_total = 0, want >= 1")
+			if strings.Contains(buf.String(), "metascreen_journal_truncated_bytes_total 0\n") {
+				t.Errorf("journal_truncated_bytes_total = 0, want > 0")
 			}
 		})
 	}
@@ -104,8 +127,8 @@ func TestStorageFullDegradedMode(t *testing.T) {
 
 	dir := t.TempDir()
 	// Roomy enough to boot, admit a few jobs and (after the operator
-	// frees space) run one more to completion — compaction, checkpoints
-	// and all — yet small enough that the submit loop fills it.
+	// frees space) run one more to completion — compaction, ligand
+	// records and all — yet small enough that the submit loop fills it.
 	plan, err := fsim.ParsePlan("*:enospc@131072")
 	if err != nil {
 		t.Fatal(err)

@@ -174,6 +174,7 @@ type Journal struct {
 	seg      int       // active segment index
 	segSize  int64     // active segment's acknowledged (durable-intent) size
 	total    int64     // all segments' bytes
+	baseline int64     // total right after the last Compact (0 before any)
 	lastSync time.Time
 	failed   error // sticky fail-stop cause; nil when healthy
 	closed   bool
@@ -553,6 +554,19 @@ func (j *Journal) Size() int64 {
 	return j.total
 }
 
+// ShouldCompact is the compaction trigger both journals share: the log
+// has outgrown minBytes AND doubled since the last compaction. The first
+// condition keeps small journals alone; the second amortizes the cost —
+// once live state alone exceeds minBytes, a size-only rule would rewrite
+// the whole live set on every append (quadratic), while doubling bounds
+// the rewritten bytes by the appended bytes and makes n appends cost
+// O(log n) compactions.
+func (j *Journal) ShouldCompact(minBytes int64) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.total > minBytes && j.total > 2*j.baseline
+}
+
 // Replay streams every record, oldest first, to fn; a non-nil fn error
 // stops the replay and is returned. The records are the valid prefix Open
 // recovered (concurrent Appends during a replay may or may not be seen).
@@ -673,6 +687,7 @@ func (j *Journal) Compact(live [][]byte) error {
 	j.seg = newIdx
 	j.segSize = int64(len(buf))
 	j.total = int64(len(buf))
+	j.baseline = j.total
 	return nil
 }
 

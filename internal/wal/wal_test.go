@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -357,5 +359,48 @@ func TestClosedJournalRefusesWrites(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+}
+
+// TestShouldCompactAmortized: a journal whose live state alone exceeds the
+// threshold must not compact on every append. Every record here stays
+// live, so each compaction rewrites everything; the doubling rule keeps
+// the number of compactions logarithmic in the number of appends.
+func TestShouldCompactAmortized(t *testing.T) {
+	j, _, err := Open(t.TempDir(), Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	const (
+		n        = 2000
+		minBytes = 4 << 10
+	)
+	var live [][]byte
+	compactions := 0
+	for i := 0; i < n; i++ {
+		rec := []byte(fmt.Sprintf("live-record-%06d-%s", i, strings.Repeat("x", 64)))
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, rec)
+		if j.ShouldCompact(minBytes) {
+			if err := j.Compact(live); err != nil {
+				t.Fatal(err)
+			}
+			compactions++
+		}
+	}
+	if j.Size() <= minBytes {
+		t.Fatalf("live state %d B never exceeded the %d B threshold; the test proves nothing", j.Size(), minBytes)
+	}
+	// The live set is ~180 KB against a 4 KB threshold: a size-only
+	// trigger would compact on nearly every one of the 2000 appends.
+	if limit := 2*bits.Len(n) + 1; compactions == 0 || compactions > limit {
+		t.Fatalf("%d compactions over %d appends, want between 1 and %d (O(log n))", compactions, n, limit)
+	}
+	recs := replayAll(t, j)
+	if len(recs) != n {
+		t.Fatalf("replay after amortized compaction = %d records, want %d", len(recs), n)
 	}
 }

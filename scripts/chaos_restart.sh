@@ -3,7 +3,8 @@
 # with a data dir, submit a long screen with an idempotency key, SIGKILL
 # the process mid-run, restart it over the same data dir, and verify that
 #
-#   - the interrupted job is recovered and resumes from its checkpoint,
+#   - the interrupted job is recovered and resumes from its journaled
+#     ligand records,
 #   - resubmitting the same Idempotency-Key maps onto the original job,
 #   - the job still reaches state "done".
 #
@@ -21,7 +22,7 @@ go build -o "$WORK/vsserved" ./cmd/vsserved
 
 start() {
     "$WORK/vsserved" -addr ":$PORT" -workers 1 -screen-workers 1 \
-        -data-dir "$DATA" -checkpoint-every 1 >>"$WORK/log" 2>&1 &
+        -data-dir "$DATA" >>"$WORK/log" 2>&1 &
     PID=$!
     for _ in $(seq 1 50); do
         if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return; fi
@@ -45,7 +46,7 @@ JOB="$(jsonfield "$WORK/submit.json" id)"
 [ -n "$JOB" ] || { echo "chaos_restart: no job id in submit response" >&2; exit 1; }
 echo "chaos_restart: submitted $JOB"
 
-# Give the screen time to checkpoint some ligands, then kill -9: no drain,
+# Give the screen time to journal some ligands, then kill -9: no drain,
 # no final fsync beyond the per-record policy.
 sleep 1
 kill -9 "$PID"
@@ -71,7 +72,7 @@ for _ in $(seq 1 600); do
     case "$STATE" in
     done)
         echo "chaos_restart: $JOB done after restart"
-        curl -fsS "$BASE/metrics" | grep -E 'metascreen_(replayed_records|recovered_jobs|checkpoints_written)_total'
+        curl -fsS "$BASE/metrics" | grep -E 'metascreen_(replayed_records|recovered_jobs|ligand_records)_total'
         exit 0
         ;;
     failed | cancelled)

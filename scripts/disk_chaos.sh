@@ -3,10 +3,11 @@
 # twin of chaos_restart.sh (clean kills) and overload_soak.sh (client
 # pressure). Two legs:
 #
-#   1. torn-write + EIO chaos on journal and checkpoint I/O (-disk-chaos,
-#      deterministic under -disk-chaos-seed), then kill -9 mid-screen and
-#      a restart over the same data dir with a healthy disk: every job
-#      acknowledged with a 202 must still exist and reach "done".
+#   1. torn-write + EIO chaos on journal I/O — the per-ligand records a
+#      running screen appends (-disk-chaos, deterministic under
+#      -disk-chaos-seed) — then kill -9 mid-screen and a restart over the
+#      same data dir with a healthy disk: every job acknowledged with a
+#      202 must still exist and reach "done".
 #   2. a filling disk (enospc): submissions must degrade to 507 +
 #      Retry-After while rankings and /metrics stay served and the
 #      metascreen_storage_degraded gauge reads 1; a restart with a
@@ -28,7 +29,7 @@ start() {
     local data="$1"
     shift
     "$WORK/vsserved" -addr ":$PORT" -workers 1 -screen-workers 1 \
-        -data-dir "$data" -checkpoint-every 1 "$@" >>"$WORK/log" 2>&1 &
+        -data-dir "$data" "$@" >>"$WORK/log" 2>&1 &
     PID=$!
     for _ in $(seq 1 50); do
         if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return; fi
@@ -74,18 +75,19 @@ REQ='{"dataset":"2BSM","library":64,"spots":2,"metaheuristic":"M3","scale":0.05,
 # restart genuinely resumes an interrupted job.
 LONGREQ='{"dataset":"2BSM","library":400,"spots":2,"metaheuristic":"M3","scale":0.05,"seed":7}'
 
-# ---- Leg 1: torn writes + EIO on checkpoint I/O, kill -9, recover ----
+# ---- Leg 1: torn writes + EIO on journal I/O, kill -9, recover ----
 
 DATA1="$WORK/data1"
-start "$DATA1" -disk-chaos '*.tmp:torn-write@0.4,*.tmp:eio@0.3' -disk-chaos-seed 7
-echo "disk_chaos: leg 1 up (torn-write + eio on checkpoint writes)"
+start "$DATA1" -disk-chaos '*.wal:torn-write@0.05,*.wal:eio@0.02' -disk-chaos-seed 7
+echo "disk_chaos: leg 1 up (torn-write + eio on journal writes)"
 
 curl -fsS -X POST "$BASE/v1/screens" -H 'Idempotency-Key: disk-1' -d "$LONGREQ" >"$WORK/submit.json"
 JOB="$(jsonfield "$WORK/submit.json" id)"
 [ -n "$JOB" ] || { echo "disk_chaos: no job id in submit response" >&2; exit 1; }
 echo "disk_chaos: submitted $JOB under disk chaos"
 
-# Let it run (and eat checkpoint faults), then pull the power.
+# Let it run (and eat journal faults on its ligand records), then pull the
+# power.
 sleep 1
 stop
 echo "disk_chaos: killed vsserved mid-screen"
@@ -94,7 +96,7 @@ start "$DATA1"
 echo "disk_chaos: restarted over $DATA1 with a healthy disk"
 wait_done "$JOB"
 echo "disk_chaos: $JOB recovered to done after torn-write/eio chaos + kill -9"
-curl -fsS "$BASE/metrics" | grep -E 'metascreen_(replayed_records|recovered_jobs|checkpoint_errors|checkpoints_quarantined)_total' || true
+curl -fsS "$BASE/metrics" | grep -E 'metascreen_(replayed_records|recovered_jobs|journal_truncated_bytes|ligand_records)_total' || true
 stop
 
 # ---- Leg 2: disk fills; degrade to read-only, never fall over ----
