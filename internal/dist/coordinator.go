@@ -304,7 +304,7 @@ func New(cfg Config) (*Coordinator, error) {
 			attempts:  cfg.RequestAttempts,
 			backoff:   cfg.RetryBaseDelay,
 			respLimit: cfg.MaxResponseBytes,
-			onRetry:   metrics.RequestRetried,
+			onRetry:   metrics.retries.Inc,
 		},
 		metrics: metrics,
 		workers: make(map[string]*worker),
@@ -401,7 +401,7 @@ func (c *Coordinator) Register(rawURL string) (int, error) {
 		w.slowStreak = 0
 		c.nextEpoch++
 		w.epoch = c.nextEpoch
-		c.metrics.WorkerJoined()
+		c.metrics.workersJoined.Inc()
 		c.appendEvent(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch})
 		c.log.Info("worker joined", "worker", base, "epoch", w.epoch, "members", len(c.workers))
 	}
@@ -538,7 +538,7 @@ func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView
 			RetryAfter: journalRetryAfter,
 		}
 	}
-	c.metrics.JobSubmitted()
+	c.metrics.submitted.Inc()
 	c.superviseLocked(j)
 	c.log.Info("distributed screen submitted", "job", j.id, "ligands", len(j.names))
 	return c.viewLocked(j), false, nil

@@ -143,7 +143,7 @@ func startScriptedWorker(t *testing.T) *scriptedWorker {
 		sw.mu.Lock()
 		sw.total = len(req.Ligands)
 		sw.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, service.JobView{ID: "job-000001", State: service.StateRunning})
+		service.WriteJSON(w, http.StatusAccepted, service.JobView{ID: "job-000001", State: service.StateRunning})
 	})
 	mux.HandleFunc("GET /v1/screens/{id}/partial", func(w http.ResponseWriter, r *http.Request) {
 		after, _ := strconv.Atoi(r.URL.Query().Get("after"))
@@ -158,7 +158,7 @@ func startScriptedWorker(t *testing.T) *scriptedWorker {
 		}
 		pv.Entries = append(pv.Entries, sw.records[after:]...)
 		pv.Next = len(sw.records)
-		writeJSON(w, http.StatusOK, pv)
+		service.WriteJSON(w, http.StatusOK, pv)
 	})
 	sw.srv = httptest.NewServer(mux)
 	t.Cleanup(sw.srv.Close)

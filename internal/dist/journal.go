@@ -72,7 +72,7 @@ func (c *Coordinator) appendEvent(ev event) error {
 	}
 	b, err := json.Marshal(ev)
 	if err != nil {
-		c.metrics.JournalError()
+		c.metrics.journalErrors.Inc()
 		return err
 	}
 	if err = c.journal.Append(b); err == nil {
@@ -81,7 +81,7 @@ func (c *Coordinator) appendEvent(ev event) error {
 		}
 		return nil
 	}
-	c.metrics.JournalError()
+	c.metrics.journalErrors.Inc()
 	c.log.Error("dist journal append failed", "job", ev.Job, "err", err)
 	if c.journal.Recover() == nil && c.compactLocked() == nil {
 		c.log.Info("dist journal repaired by compaction", "job", ev.Job)
@@ -99,7 +99,7 @@ func (c *Coordinator) compactLocked() error {
 	add := func(ev event) error {
 		b, err := json.Marshal(ev)
 		if err != nil {
-			c.metrics.JournalError()
+			c.metrics.journalErrors.Inc()
 			return err
 		}
 		live = append(live, b)
@@ -152,7 +152,7 @@ func (c *Coordinator) compactLocked() error {
 		}
 	}
 	if err := c.journal.Compact(live); err != nil {
-		c.metrics.JournalError()
+		c.metrics.journalErrors.Inc()
 		c.log.Error("dist journal compact failed", "err", err)
 		return err
 	}
@@ -168,7 +168,7 @@ func (c *Coordinator) openJournal() error {
 		Logf:   func(format string, args ...any) { c.log.Warn(fmt.Sprintf(format, args...)) },
 		FS:     c.cfg.FS,
 		OnIOError: func(op string, err error) {
-			c.metrics.JournalError()
+			c.metrics.journalErrors.Inc()
 			c.log.Warn("dist journal io error", "op", op, "err", err)
 		},
 	})
@@ -180,7 +180,7 @@ func (c *Coordinator) openJournal() error {
 	err = j.Replay(func(rec []byte) error {
 		var ev event
 		if uerr := json.Unmarshal(rec, &ev); uerr != nil {
-			c.metrics.JournalError()
+			c.metrics.journalErrors.Inc()
 			return nil
 		}
 		c.applyEvent(ev, boot)

@@ -50,7 +50,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	view, existing, err := c.Submit(req, r.Header.Get("Idempotency-Key"))
@@ -59,36 +59,36 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if existing {
-		writeJSON(w, http.StatusOK, view)
+		service.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	w.Header().Set("Location", "/v1/screens/"+view.ID)
-	writeJSON(w, http.StatusAccepted, view)
+	service.WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.List())
+	service.WriteJSON(w, http.StatusOK, c.List())
 }
 
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	view, err := c.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	page, err := service.ParsePage(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	view.Result = view.Result.Paged(page)
-	writeJSON(w, http.StatusOK, view)
+	service.WriteJSON(w, http.StatusOK, view)
 }
 
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec, err := c.Trace(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -99,11 +99,11 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := c.Cancel(r.PathValue("id"))
 	switch {
 	case errors.Is(err, service.ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 	case errors.Is(err, service.ErrTerminal):
-		writeError(w, http.StatusConflict, err)
+		service.WriteError(w, http.StatusConflict, err)
 	default:
-		writeJSON(w, http.StatusAccepted, view)
+		service.WriteJSON(w, http.StatusAccepted, view)
 	}
 }
 
@@ -114,19 +114,19 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	n, err := c.Register(body.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"workers": n})
+	service.WriteJSON(w, http.StatusOK, map[string]int{"workers": n})
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Workers())
+	service.WriteJSON(w, http.StatusOK, c.Workers())
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -135,7 +135,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if st.Draining {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, st)
+	service.WriteJSON(w, code, st)
 }
 
 func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -144,7 +144,7 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]bool{"ready": ready})
+	service.WriteJSON(w, code, map[string]bool{"ready": ready})
 }
 
 // DebugHandler is the coordinator's debug listener (vsserved -debug-addr):
@@ -152,22 +152,10 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) DebugHandler() http.Handler { return service.DebugMux(c.handleSnapshot) }
 
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Snapshot())
+	service.WriteJSON(w, http.StatusOK, c.Snapshot())
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	c.metrics.WriteTo(w, c.Stats())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

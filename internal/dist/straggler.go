@@ -206,7 +206,7 @@ func (c *Coordinator) stealLocked(j *job, victim *shard, remaining []string, idl
 		c.fenced = append(c.fenced, remoteRef{worker: victim.worker, remote: victim.remote})
 	}
 	c.appendEvent(event{Type: evMoved, Job: j.id, Shard: victim.id})
-	c.metrics.ShardStolen()
+	c.metrics.shardsStolen.Inc()
 	if w := c.workers[victim.worker]; w != nil {
 		w.stolenFrom++
 		c.quarantineWorkerLocked(w, "shard stolen")
@@ -227,7 +227,7 @@ func (c *Coordinator) stealLocked(j *job, victim *shard, remaining []string, idl
 		j.nextShard++
 		j.shards = append(j.shards, ns)
 		idle[i].shards++
-		c.metrics.ShardAssigned()
+		c.metrics.shards.Inc()
 		c.appendEvent(event{Type: evAssign, Job: j.id, Shard: ns.id, Worker: ns.worker, Epoch: ns.epoch, Ligands: chunk})
 		c.log.Info("shard remainder stolen",
 			"job", j.id, "victimShard", victim.id, "victim", victim.worker,
@@ -257,8 +257,8 @@ func (c *Coordinator) hedgeLocked(j *job, primary *shard, remaining []string, w 
 	j.shards = append(j.shards, hs)
 	primary.hedgedBy = hs.id
 	w.shards++
-	c.metrics.HedgeIssued()
-	c.metrics.ShardAssigned()
+	c.metrics.hedgesIssued.Inc()
+	c.metrics.shards.Inc()
 	c.appendEvent(event{Type: evAssign, Job: j.id, Shard: hs.id, Worker: hs.worker, Epoch: hs.epoch, Ligands: hs.ligands, HedgeOf: primary.id})
 	t := j.rec.Now()
 	j.rec.AddSpan(trace.Span{
@@ -298,7 +298,7 @@ func (c *Coordinator) resolveHedgeLocked(j *job, winner *shard) {
 	loser := j.livePartnerLocked(winner)
 	if winner.hedgeOf != "" {
 		// The twin beat the shard it was backing: the hedge paid off.
-		c.metrics.HedgeWon()
+		c.metrics.hedgeWins.Inc()
 	}
 	if loser == nil {
 		return
@@ -380,7 +380,7 @@ func (c *Coordinator) quarantineWorkerLocked(w *worker, reason string) {
 	}
 	w.quarantined = true
 	w.slowStreak = 0
-	c.metrics.WorkerQuarantined()
+	c.metrics.quarantines.Inc()
 	c.log.Warn("worker quarantined",
 		"worker", w.url, "reason", reason, "rate_lps", w.rate.Value())
 }

@@ -179,7 +179,7 @@ func (c *Coordinator) markWorkerDeadLocked(url, reason string) {
 		return
 	}
 	w.alive = false
-	c.metrics.WorkerDied()
+	c.metrics.workerDeaths.Inc()
 	c.appendEvent(event{Type: evWorker, Worker: url})
 	c.log.Warn("worker declared dead", "worker", url, "reason", reason)
 }
@@ -204,7 +204,7 @@ func (c *Coordinator) assignLocked(j *job) {
 			// orphaned. Its old worker-side job may still be running as a
 			// zombie — queue a best-effort cancel so it stops burning time
 			// on ligands about to be re-split.
-			c.metrics.ShardFenced()
+			c.metrics.shardsFenced.Inc()
 			if sh.remote != "" {
 				c.fenced = append(c.fenced, remoteRef{worker: sh.worker, remote: sh.remote})
 			}
@@ -233,7 +233,7 @@ func (c *Coordinator) assignLocked(j *job) {
 		}
 		j.unassigned = append(j.unassigned, remaining...)
 		j.resplits++
-		c.metrics.Reshard()
+		c.metrics.reshards.Inc()
 		t := j.rec.Now()
 		j.rec.AddSpan(trace.Span{
 			Track: "membership", Name: "reshard " + sh.id + " off " + sh.worker,
@@ -291,7 +291,7 @@ func (c *Coordinator) assignLocked(j *job) {
 		j.nextShard++
 		j.shards = append(j.shards, sh)
 		alive[i].shards++
-		c.metrics.ShardAssigned()
+		c.metrics.shards.Inc()
 		c.appendEvent(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: chunk})
 		c.log.Info("shard assigned",
 			"job", j.id, "shard", sh.id, "worker", sh.worker, "ligands", len(chunk))
@@ -356,7 +356,7 @@ func (c *Coordinator) dispatch(j *job, sh *shard) {
 		return
 	}
 	if err != nil {
-		c.metrics.PollError()
+		c.metrics.pollErrors.Inc()
 		sh.errs++
 		c.log.Warn("shard dispatch failed",
 			"job", j.id, "shard", sh.id, "worker", sh.worker, "err", err)
@@ -409,7 +409,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 			}
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			c.metrics.PollError()
+			c.metrics.pollErrors.Inc()
 			sh.errs++
 			if sh.errs >= c.cfg.FailThreshold {
 				c.markWorkerDeadLocked(sh.worker, "poll failures")
@@ -428,7 +428,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 			// (or are about to be) re-split, so merging this body could
 			// double-count. Drop it — the byte-identical-ranking invariant
 			// depends on every ligand merging exactly once.
-			c.metrics.StalePartialRejected()
+			c.metrics.staleRejected.Inc()
 			c.log.Warn("rejecting stale partial from fenced shard",
 				"job", j.id, "shard", sh.id, "worker", sh.worker, "shardEpoch", sh.epoch)
 			c.mu.Unlock()
@@ -542,7 +542,7 @@ func (c *Coordinator) mergeLocked(j *job, entries []service.PartialEntry) int {
 		fresh = append(fresh, e)
 	}
 	if len(fresh) > 0 {
-		c.metrics.LigandsMerged(len(fresh))
+		c.metrics.merged.Add(int64(len(fresh)))
 		c.appendEvent(event{Type: evEntries, Job: j.id, Entries: fresh})
 	}
 	return len(fresh)
@@ -556,7 +556,7 @@ func (c *Coordinator) finishLocked(j *job, state service.JobState, errMsg string
 	j.finished = c.cfg.now()
 	v := c.viewLocked(j)
 	j.final = &v
-	c.metrics.JobFinished(state)
+	c.metrics.finished.Inc(string(state))
 	c.appendEvent(event{Type: evTerminal, Job: j.id, View: &v})
 	j.rec.AddSpan(trace.Span{
 		Track: "job", Name: j.id, Cat: trace.CatJob,

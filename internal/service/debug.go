@@ -107,7 +107,7 @@ func (s *Service) DebugSnapshot() DebugSnapshot {
 		UptimeSeconds: s.now().Sub(started).Seconds(),
 		WarmupFactors: warm,
 		Admission:     s.ctrl.Snapshot(),
-		Shed:          s.metrics.ShedCounts(),
+		Shed:          s.metrics.shed.Values(),
 		Storage:       storage,
 	}
 	for track, b := range busy {
@@ -120,5 +120,5 @@ func (s *Service) DebugSnapshot() DebugSnapshot {
 }
 
 func (s *Service) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.DebugSnapshot())
+	WriteJSON(w, http.StatusOK, s.DebugSnapshot())
 }

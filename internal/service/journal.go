@@ -83,7 +83,7 @@ func (s *Service) openJournal() error {
 		SyncInterval: s.cfg.FsyncInterval,
 		Logf:         func(format string, args ...any) { s.log.Warn(fmt.Sprintf(format, args...)) },
 		FS:           s.cfg.FS,
-		OnIOError:    func(op string, err error) { s.metrics.WALIOError(op) },
+		OnIOError:    func(op string, err error) { s.metrics.walIOErrors.Inc(op) },
 	})
 	if err != nil {
 		return err
@@ -95,7 +95,7 @@ func (s *Service) openJournal() error {
 		if uerr := json.Unmarshal(rec, &ev); uerr != nil {
 			// A record that framed correctly but no longer parses is
 			// skipped, not fatal: replay keeps every applicable event.
-			s.metrics.JournalError()
+			s.metrics.journalErrors.Inc()
 			return nil
 		}
 		s.applyEvent(ev)
@@ -287,7 +287,7 @@ func (s *Service) appendEvent(ev jobEvent) bool {
 		return true
 	}
 	if s.storageDegraded {
-		s.metrics.JournalSkipped()
+		s.metrics.journalSkipped.Inc()
 		return false
 	}
 	b, err := json.Marshal(ev)
@@ -295,14 +295,14 @@ func (s *Service) appendEvent(ev jobEvent) bool {
 		err = s.journal.Append(b)
 	}
 	if err != nil {
-		s.metrics.JournalError()
+		s.metrics.journalErrors.Inc()
 		s.log.Error("journal append failed", "job", ev.Job, "err", err)
 		// One shot at recovery for transient I/O faults. A full disk is
 		// not transient — retrying the same bytes cannot help.
 		if !errors.Is(err, syscall.ENOSPC) {
 			if rerr := s.journal.Recover(); rerr == nil {
 				if err2 := s.journal.Append(b); err2 == nil {
-					s.metrics.StorageRecovered()
+					s.metrics.storageRecoveries.Inc()
 					s.log.Info("journal append recovered after transient failure", "job", ev.Job)
 					return s.afterAppendLocked(b)
 				}
@@ -333,7 +333,7 @@ func (s *Service) compactLocked() bool {
 	add := func(ev jobEvent) bool {
 		b, err := json.Marshal(ev)
 		if err != nil {
-			s.metrics.JournalError()
+			s.metrics.journalErrors.Inc()
 			return false
 		}
 		live = append(live, b)
@@ -355,11 +355,11 @@ func (s *Service) compactLocked() bool {
 		}
 	}
 	if err := s.journal.Compact(live); err != nil {
-		s.metrics.JournalError()
+		s.metrics.journalErrors.Inc()
 		s.log.Error("journal compact failed", "err", err)
 		return false
 	}
-	s.metrics.JournalCompaction()
+	s.metrics.journalCompactions.Inc()
 	return true
 }
 
@@ -412,7 +412,7 @@ func (s *Service) tryRecoverStorageLocked() bool {
 	}
 	s.storageDegraded = false
 	s.storageReason = ""
-	s.metrics.StorageRecovered()
+	s.metrics.storageRecoveries.Inc()
 	s.log.Info("storage recovered, journaling re-enabled",
 		"degraded_seconds", now.Sub(s.storageSince).Seconds())
 	return true

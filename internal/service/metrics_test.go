@@ -13,47 +13,48 @@ import (
 // for a known sequence of events. The format is API: dashboards and
 // alerts depend on these names and label sets.
 func TestMetricsExpositionGolden(t *testing.T) {
-	m := NewMetrics(2)
-	m.Submitted()
-	m.Submitted()
-	m.Submitted()
-	m.Rejected()
-	m.WorkerBusy(1)
+	m := NewMetrics()
+	m.submitted.Inc()
+	m.submitted.Inc()
+	m.submitted.Inc()
+	m.rejected.Inc()
+	m.busy.Add(1)
 	m.Finished(StateDone, 40*time.Millisecond)
 	m.Finished(StateDone, 700*time.Millisecond)
 	m.Finished(StateCancelled, 2*time.Second)
 	m.JobTimes(250*time.Millisecond, 500*time.Millisecond)
 	m.JobTimes(500*time.Millisecond, 2*time.Second)
-	m.GenerationSim(0.25)
-	m.GenerationSim(0.5)
-	m.GenerationSim(4)
+	m.genSim.Observe(0.25)
+	m.genSim.Observe(0.5)
+	m.genSim.Observe(4)
 	m.Work(1500, 12.5, 2, 1)
 	m.Work(500, 2.5, 1, 0)
-	m.JobRetried()
-	m.JobRetried()
-	m.JobRetried()
-	m.WorkerPanic()
+	m.jobRetries.Inc()
+	m.jobRetries.Inc()
+	m.jobRetries.Inc()
+	m.workerPanics.Inc()
 	m.JournalAppend(120)
 	m.JournalAppend(80)
-	m.JournalError()
-	m.JournalCompaction()
-	m.LigandRecorded()
-	m.LigandRecorded()
+	m.journalErrors.Inc()
+	m.journalCompactions.Inc()
+	m.ligandRecords.Inc()
+	m.ligandRecords.Inc()
 	m.Recovered(7, 2, 13)
-	m.Shed("queue_full")
-	m.Shed("breaker_open")
-	m.Shed("storage_full")
-	m.Degraded()
-	m.WALIOError("sync")
-	m.WALIOError("sync")
-	m.WALIOError("dirsync")
-	m.JournalSkipped()
-	m.StorageRecovered()
-	m.ClassQueueWait(admission.ClassHigh, 20*time.Millisecond)
-	m.ClassQueueWait(admission.ClassNormal, 300*time.Millisecond)
+	m.shed.Inc("queue_full")
+	m.shed.Inc("breaker_open")
+	m.shed.Inc("storage_full")
+	m.degraded.Inc()
+	m.walIOErrors.Inc("sync")
+	m.walIOErrors.Inc("sync")
+	m.walIOErrors.Inc("dirsync")
+	m.journalSkipped.Inc()
+	m.storageRecoveries.Inc()
+	m.classQueue.Observe(admission.ClassHigh.String(), 0.02)
+	m.classQueue.Observe(admission.ClassNormal.String(), 0.3)
 
 	var b strings.Builder
 	st := Stats{
+		Workers:         2,
 		QueueDepth:      1,
 		Running:         1,
 		Limit:           2,
@@ -277,7 +278,7 @@ metascreen_job_class_queue_seconds_count{class="low"} 0
 }
 
 func TestMetricsEmpty(t *testing.T) {
-	m := NewMetrics(1)
+	m := NewMetrics()
 	var b strings.Builder
 	if err := m.WriteTo(&b, Stats{}); err != nil {
 		t.Fatal(err)

@@ -86,7 +86,7 @@ func TestOverloadBurst(t *testing.T) {
 	// The burst may have been fully absorbed (queue bound 32 but workers
 	// drain concurrently); when it was not, rejections must be counted.
 	if n := shed.Load(); n > 0 {
-		if s.metrics.ShedCounts()["queue_full"] == 0 {
+		if s.metrics.shed.Values()["queue_full"] == 0 {
 			t.Error("queue_full rejections not counted in metrics")
 		}
 	}
@@ -121,7 +121,7 @@ func TestDeadlineAdmission(t *testing.T) {
 	if v.DeadlineAt == nil {
 		t.Error("admitted deadline job has no DeadlineAt on its view")
 	}
-	if got := s.metrics.ShedCounts()["deadline_admission"]; got != 1 {
+	if got := s.metrics.shed.Values()["deadline_admission"]; got != 1 {
 		t.Errorf("deadline_admission shed count %d, want 1", got)
 	}
 }
@@ -158,7 +158,7 @@ func TestDeadlineDequeueCull(t *testing.T) {
 	if v.State != StateShed {
 		t.Fatalf("doomed job finished as %s (%s), want shed", v.State, v.Error)
 	}
-	if got := s.metrics.ShedCounts()["deadline_dequeue"]; got != 1 {
+	if got := s.metrics.shed.Values()["deadline_dequeue"]; got != 1 {
 		t.Errorf("deadline_dequeue shed count %d, want 1", got)
 	}
 }
@@ -302,7 +302,7 @@ func TestDegradationRecordedOnView(t *testing.T) {
 	if sc, _ := gotScale.Load().(float64); sc != want && sc != v.Request.Scale {
 		t.Errorf("runner saw scale %g, want %g (degraded) or %g (blocker)", sc, want, v.Request.Scale)
 	}
-	if s.metrics.ShedCounts()["queue_full"] != 0 {
+	if s.metrics.shed.Values()["queue_full"] != 0 {
 		t.Error("degradation test unexpectedly hit queue_full")
 	}
 }
@@ -340,7 +340,7 @@ func TestRetryBackoffRespectsDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("job took %v; the backoff was not skipped", elapsed)
 	}
-	if s.metrics.ShedCounts()["deadline_backoff"] != 1 {
+	if s.metrics.shed.Values()["deadline_backoff"] != 1 {
 		t.Error("deadline_backoff not counted")
 	}
 }

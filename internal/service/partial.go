@@ -202,7 +202,7 @@ func (s *Service) recordLigand(id string, rec core.LigandRecord, newly int) {
 	j.records = append(j.records, rec)
 	j.observeRate(1, time.Now())
 	if s.journal != nil && s.appendEvent(jobEvent{Type: evLigand, Job: id, Ligand: &rec}) {
-		s.metrics.LigandRecorded()
+		s.metrics.ligandRecords.Inc()
 	}
 	hook := s.recordHook
 	s.mu.Unlock()

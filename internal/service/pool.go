@@ -64,7 +64,7 @@ func (s *Service) runJob(j *Job) {
 	if !j.deadline.IsZero() && s.ctrl.ShouldCull(s.now(), j.deadline) {
 		// The deadline can no longer be met even if the job starts right
 		// now: shed it instead of burning a worker on a doomed run.
-		s.metrics.Shed("deadline_dequeue")
+		s.metrics.shed.Inc("deadline_dequeue")
 		s.finishLocked(j, StateShed, nil, "shed: deadline unmeetable at dequeue")
 		s.mu.Unlock()
 		return
@@ -76,7 +76,7 @@ func (s *Service) runJob(j *Job) {
 	j.started = s.now()
 	j.cancel = cancel
 	s.ctrl.ObserveQueueWait(j.started.Sub(j.submitted))
-	s.metrics.ClassQueueWait(j.class, j.started.Sub(j.submitted))
+	s.metrics.classQueue.Observe(j.class.String(), j.started.Sub(j.submitted).Seconds())
 	// A job recovered from the journal resumes its attempt numbering where
 	// the dead process left off, with a fresh retry budget for this boot.
 	first := j.attempts + 1
@@ -90,7 +90,7 @@ func (s *Service) runJob(j *Job) {
 		j.effortFactor = f
 		j.effectiveScale = req.Scale * f
 		req.Scale = j.effectiveScale
-		s.metrics.Degraded()
+		s.metrics.degraded.Inc()
 		s.log.Info("job degraded under pressure", "job", id,
 			"fill", fill, "effort_factor", f, "effective_scale", req.Scale)
 	}
@@ -114,8 +114,8 @@ func (s *Service) runJob(j *Job) {
 	// job-correlated logger in its context; the engine picks both up.
 	base = trace.NewContext(obs.NewContext(base, logger), rec)
 
-	s.metrics.WorkerBusy(1)
-	defer s.metrics.WorkerBusy(-1)
+	s.metrics.busy.Add(1)
+	defer s.metrics.busy.Add(-1)
 
 	var (
 		res *core.ScreenResult
@@ -163,12 +163,12 @@ func (s *Service) runJob(j *Job) {
 		if !jobDeadline.IsZero() && s.now().Add(delay).After(jobDeadline) {
 			// The backoff would outlive the job's deadline; failing now is
 			// strictly better than sleeping only to fail on wake.
-			s.metrics.Shed("deadline_backoff")
+			s.metrics.shed.Inc("deadline_backoff")
 			err = fmt.Errorf("service: job deadline would expire during retry backoff (%v sleep, %v remaining): %w",
 				delay.Round(time.Millisecond), jobDeadline.Sub(s.now()).Round(time.Millisecond), err)
 			break
 		}
-		s.metrics.JobRetried()
+		s.metrics.jobRetries.Inc()
 		logger.Warn("attempt failed, retrying", "attempt", attempt, "err", err,
 			"backoff", delay)
 		if !s.sleepRetry(base, delay) {
@@ -210,7 +210,7 @@ func (s *Service) runJob(j *Job) {
 func (s *Service) safeRun(run runnerFunc, ctx context.Context, id string, req ScreenRequest) (res *core.ScreenResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.WorkerPanic()
+			s.metrics.workerPanics.Inc()
 			res = nil
 			err = fmt.Errorf("service: worker panic: %v", r)
 		}

@@ -83,7 +83,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.ClientID == "" {
@@ -97,17 +97,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if existing {
 		// A duplicate submission (client retry across a timeout or server
 		// restart) maps onto the already-admitted job.
-		writeJSON(w, http.StatusOK, view)
+		WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	w.Header().Set("Location", "/v1/screens/"+view.ID)
-	writeJSON(w, http.StatusAccepted, view)
+	WriteJSON(w, http.StatusAccepted, view)
 }
 
 // WriteSubmitError answers a refused submission: the status submitStatus
 // maps err to and, for a ShedError, its Retry-After header and structured
 // body. The coordinator answers its own submissions through it too.
-func WriteSubmitError(w http.ResponseWriter, err error) { writeError(w, submitStatus(err), err) }
+func WriteSubmitError(w http.ResponseWriter, err error) { WriteError(w, submitStatus(err), err) }
 
 // submitStatus maps an admission error to its HTTP status: retryable
 // backpressure is 429, outright unavailability 503, and a full or failing
@@ -126,22 +126,22 @@ func submitStatus(err error) int {
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.List())
+	WriteJSON(w, http.StatusOK, s.List())
 }
 
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	view, err := s.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	page, err := ParsePage(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	view.Result = view.Result.Paged(page)
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 // handlePartial serves the ligands a job has completed so far — ranked,
@@ -152,14 +152,14 @@ func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	page, err := ParsePage(q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var pv PartialView
 	if v := q.Get("after"); v != "" {
 		after, perr := strconv.Atoi(v)
 		if perr != nil || after < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: after %q must be a non-negative integer", v))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("service: after %q must be a non-negative integer", v))
 			return
 		}
 		pv, err = s.PartialAfter(r.PathValue("id"), after, page.Limit)
@@ -168,10 +168,10 @@ func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
 		pv.Paginate(page)
 	}
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, pv)
+	WriteJSON(w, http.StatusOK, pv)
 }
 
 // handleTrace streams a job's timeline in Chrome trace format. The export
@@ -180,7 +180,7 @@ func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec, err := s.Trace(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -191,11 +191,11 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := s.Cancel(r.PathValue("id"))
 	switch {
 	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 	case errors.Is(err, ErrTerminal):
-		writeError(w, http.StatusConflict, err)
+		WriteError(w, http.StatusConflict, err)
 	default:
-		writeJSON(w, http.StatusAccepted, view)
+		WriteJSON(w, http.StatusAccepted, view)
 	}
 }
 
@@ -207,7 +207,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// routing to them while running jobs finish.
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }
 
 // handleReady is the readiness probe: 200 once the journal is replayed
@@ -219,7 +219,7 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"ready":    ready,
 		"recovery": s.Recovery(),
 	})
@@ -230,7 +230,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteTo(w, s.Stats())
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON body with the given status code;
+// every role's HTTP handlers answer through it.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -238,7 +240,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
+// WriteError writes err as a JSON {"error": ...} body. A *ShedError also
+// sets Retry-After and adds the shed reason, retry hint and queue state.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	var shed *ShedError
 	if errors.As(err, &shed) {
 		// Overload rejections tell the client when to come back and how
@@ -248,7 +252,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, code, map[string]any{
+		WriteJSON(w, code, map[string]any{
 			"error":               err.Error(),
 			"reason":              shed.Reason,
 			"retry_after_seconds": secs,
@@ -257,5 +261,5 @@ func writeError(w http.ResponseWriter, code int, err error) {
 		})
 		return
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -195,7 +195,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:     cfg,
-		metrics: NewMetrics(cfg.Workers),
+		metrics: NewMetrics(),
 		log:     cfg.Logger,
 		started: now(),
 		jobs:    make(map[string]*Job),
@@ -321,7 +321,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 		if probe {
 			s.ctrl.Breaker.ReleaseProbe()
 		}
-		s.metrics.Rejected()
+		s.metrics.rejected.Inc()
 		return JobView{}, false, s.shedLocked(err, "queue_full", s.ctrl.RetryAfterFull())
 	}
 	s.jobs[j.id] = j
@@ -329,7 +329,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 	if key != "" {
 		s.idem[key] = j.id
 	}
-	s.metrics.Submitted()
+	s.metrics.submitted.Inc()
 	if !s.appendEvent(jobEvent{
 		Type: evSubmitted, Job: j.id, Time: j.submitted,
 		Request: &j.req, IdemKey: key,
@@ -353,7 +353,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 // shedLocked counts and logs one overload rejection and wraps it as a
 // ShedError carrying the Retry-After and queue state. Caller holds s.mu.
 func (s *Service) shedLocked(err error, reason string, retryAfter time.Duration) error {
-	s.metrics.Shed(reason)
+	s.metrics.shed.Inc(reason)
 	depth := s.queue.depth()
 	s.log.Warn("request shed", "reason", reason, "err", err,
 		"retry_after_seconds", retryAfter.Seconds(), "queue_depth", depth)
@@ -489,7 +489,7 @@ func (s *Service) observeGenerations(res *core.ScreenResult) {
 		}
 		prev := 0.0
 		for _, gp := range e.Result.History {
-			s.metrics.GenerationSim(gp.SimSeconds - prev)
+			s.metrics.genSim.Observe(gp.SimSeconds - prev)
 			prev = gp.SimSeconds
 		}
 	}
